@@ -3,121 +3,57 @@
 Each benchmark regenerates one table or figure of the paper (see
 DESIGN.md's experiment index). Pool sizes default to laptop-friendly
 values; set ``REPRO_BENCH_POOL`` to scale up toward the paper's 1000/5000
-program pools.
+program pools, and ``REPRO_BENCH_OUT`` to choose where the
+``BENCH_*.json`` files land.
 """
 
 import json
 import os
+import tempfile
 
 import pytest
 
 from repro.fuzz import generate_validated
 
-#: Where the campaign wall-clock benchmark lands (satellite of the
-#: sharded-campaign PR); override with REPRO_BENCH_CAMPAIGN_OUT.
-BENCH_CAMPAIGN_PATH = os.environ.get(
-    "REPRO_BENCH_CAMPAIGN_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_campaign.json"))
-
-#: Where the reduction throughput benchmark lands; override with
-#: REPRO_BENCH_REDUCE_OUT.
-BENCH_REDUCE_PATH = os.environ.get(
-    "REPRO_BENCH_REDUCE_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_reduce.json"))
-
-#: Where the static-verification throughput benchmark lands; override
-#: with REPRO_BENCH_VERIFY_OUT.
-BENCH_VERIFY_PATH = os.environ.get(
-    "REPRO_BENCH_VERIFY_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_verify.json"))
-
-#: Where the store-resume benchmark lands; override with
-#: REPRO_BENCH_STORE_OUT.
-BENCH_STORE_PATH = os.environ.get(
-    "REPRO_BENCH_STORE_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_store.json"))
-
-#: Where the containment-overhead benchmark lands; override with
-#: REPRO_BENCH_FAULTS_OUT.
-BENCH_FAULTS_PATH = os.environ.get(
-    "REPRO_BENCH_FAULTS_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_faults.json"))
-
-#: Where the version-bisection throughput benchmark lands; override
-#: with REPRO_BENCH_BISECT_OUT.
-BENCH_BISECT_PATH = os.environ.get(
-    "REPRO_BENCH_BISECT_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_bisect.json"))
-
-#: Where the campaign-service throughput benchmark lands; override
-#: with REPRO_BENCH_SERVE_OUT.
-BENCH_SERVE_PATH = os.environ.get(
-    "REPRO_BENCH_SERVE_OUT",
-    os.path.join(os.path.dirname(__file__), "BENCH_serve.json"))
-
-_campaign_bench = {}
-_reduce_bench = {}
-_verify_bench = {}
-_store_bench = {}
-_faults_bench = {}
-_bisect_bench = {}
-_serve_bench = {}
+_benches = {}
 
 
-def record_campaign_bench(**fields):
-    """Collect serial-vs-parallel campaign timings; written to
-    ``BENCH_campaign.json`` at session end."""
-    _campaign_bench.update(fields)
+def _recorder(name):
+    """A ``record_<name>_bench(**fields)`` collecting the fields written
+    to ``BENCH_<name>.json`` at session end."""
+    data = _benches.setdefault(name, {})
+
+    def record(**fields):
+        data.update(fields)
+
+    return record
 
 
-def record_reduce_bench(**fields):
-    """Collect fast-vs-reference reduction timings; written to
-    ``BENCH_reduce.json`` at session end."""
-    _reduce_bench.update(fields)
-
-
-def record_verify_bench(**fields):
-    """Collect static-verify vs dynamic-evaluation timings; written to
-    ``BENCH_verify.json`` at session end."""
-    _verify_bench.update(fields)
-
-
-def record_store_bench(**fields):
-    """Collect fresh-vs-resumed campaign timings; written to
-    ``BENCH_store.json`` at session end."""
-    _store_bench.update(fields)
-
-
-def record_faults_bench(**fields):
-    """Collect contained-vs-bare campaign timings; written to
-    ``BENCH_faults.json`` at session end."""
-    _faults_bench.update(fields)
-
-
-def record_bisect_bench(**fields):
-    """Collect version-bisection probe/timing accounting; written to
-    ``BENCH_bisect.json`` at session end."""
-    _bisect_bench.update(fields)
-
-
-def record_serve_bench(**fields):
-    """Collect served-vs-serial campaign timings; written to
-    ``BENCH_serve.json`` at session end."""
-    _serve_bench.update(fields)
+record_campaign_bench = _recorder("campaign")
+record_reduce_bench = _recorder("reduce")
+record_verify_bench = _recorder("verify")
+record_store_bench = _recorder("store")
+record_faults_bench = _recorder("faults")
+record_bisect_bench = _recorder("bisect")
+record_serve_bench = _recorder("serve")
 
 
 def pytest_sessionfinish(session, exitstatus):
-    for data, path in ((_campaign_bench, BENCH_CAMPAIGN_PATH),
-                       (_reduce_bench, BENCH_REDUCE_PATH),
-                       (_verify_bench, BENCH_VERIFY_PATH),
-                       (_store_bench, BENCH_STORE_PATH),
-                       (_faults_bench, BENCH_FAULTS_PATH),
-                       (_bisect_bench, BENCH_BISECT_PATH),
-                       (_serve_bench, BENCH_SERVE_PATH)):
-        if data:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(data, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+    # The BENCH_<name>.json files land in $REPRO_BENCH_OUT.  Unset, each
+    # session writes to a fresh temporary directory, so a test run never
+    # rewrites the committed copies; REPRO_BENCH_OUT=benchmarks refreshes
+    # them.
+    recorded = {name: data for name, data in _benches.items() if data}
+    if not recorded:
+        return
+    out = os.environ.get("REPRO_BENCH_OUT") or \
+        tempfile.mkdtemp(prefix="repro-bench-")
+    os.makedirs(out, exist_ok=True)
+    for name, data in recorded.items():
+        path = os.path.join(out, f"BENCH_{name}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
 def pool_size(default):

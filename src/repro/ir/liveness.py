@@ -62,13 +62,14 @@ def liveness(fn: Function) -> LivenessInfo:
 
     live_in: Dict[BasicBlock, Set[VReg]] = {b: set() for b in fn.blocks}
     live_out: Dict[BasicBlock, Set[VReg]] = {b: set() for b in fn.blocks}
+    succs = {b: b.successors() for b in fn.blocks}
 
     changed = True
     while changed:
         changed = False
         for block in reversed(fn.blocks):
             out: Set[VReg] = set()
-            for succ in block.successors():
+            for succ in succs[block]:
                 out |= live_in.get(succ, set())
             new_in = use[block] | (out - define[block])
             if out != live_out[block] or new_in != live_in[block]:

@@ -8,7 +8,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.symbols import Symbol
 from ..lang.types import Type
-from .instructions import Instr, VReg
+from .instructions import Branch, Instr, Jump, VReg
 
 
 @dataclass
@@ -57,7 +57,6 @@ class BasicBlock:
         return None
 
     def successors(self) -> List["BasicBlock"]:
-        from .instructions import Branch, Jump
         term = self.terminator
         if isinstance(term, Jump):
             return [term.target]

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..ir.instructions import (
-    BinOp, Branch, Call, DbgValue, Jump, Load, Move, UnOp,
-)
-from ..ir.module import BasicBlock, Function
+from ..ir.cfg import predecessors, reverse_postorder
+from ..ir.instructions import BinOp, Branch, DbgValue, Jump, Move, UnOp
+from ..ir.module import Function
 from ..ir.ops import UBError, eval_binop, eval_unop
-from ..ir.values import Const, VReg
+from ..ir.values import AffineExpr, Const, VReg
 from .base import Pass, PassContext
 from .cfg_cleanup import cleanup_cfg
 from .sink import maybe_sink_dbg
@@ -37,9 +36,8 @@ _BOTTOM = object()
 
 
 def _transfer(instr, env: Dict[VReg, object]) -> None:
-    """Update a constant environment across one instruction."""
-    if instr.is_dbg():
-        return
+    """Update a constant environment across one instruction (debug
+    intrinsics define nothing)."""
     dst = instr.defs()
     if dst is None:
         return
@@ -77,17 +75,13 @@ def _meet(envs) -> Dict[VReg, object]:
     envs = [e for e in envs if e is not None]
     if not envs:
         return {}
-    out: Dict[VReg, object] = {}
-    first = envs[0]
-    for vreg, value in first.items():
-        if value is _BOTTOM:
-            out[vreg] = _BOTTOM
-            continue
-        agreed = all(e.get(vreg, _BOTTOM) == value for e in envs[1:])
-        out[vreg] = value if agreed else _BOTTOM
+    out: Dict[VReg, object] = dict(envs[0])
     for env in envs[1:]:
+        for vreg, value in out.items():
+            if value is not _BOTTOM and env.get(vreg, _BOTTOM) != value:
+                out[vreg] = _BOTTOM
         for vreg in env:
-            if vreg not in first:
+            if vreg not in out:
                 out[vreg] = _BOTTOM
     return out
 
@@ -109,26 +103,36 @@ class ConstantPropagation(Pass):
     # -- analysis ------------------------------------------------------------
 
     def _analyze(self, fn: Function):
-        from ..ir.cfg import predecessors, reverse_postorder
+        # Reverse-postorder sweeps under a fixed round budget.  A block
+        # is revisited only when a predecessor's out-env changed since
+        # its last visit: otherwise it would recompute the same envs.
         preds = predecessors(fn)
         order = reverse_postorder(fn)
+        succs = {id(b): b.successors() for b in order}
         out_env: Dict[int, Optional[Dict]] = {id(b): None for b in fn.blocks}
         in_env: Dict[int, Dict] = {}
+        dirty = {id(b) for b in order}
 
         for _round in range(8):  # small fixed-point budget
             changed = False
             for block in order:
+                if id(block) not in dirty:
+                    continue
+                dirty.discard(id(block))
+                block_preds = preds.get(block, [])
                 if block is fn.entry:
                     env: Dict[VReg, object] = {}
+                elif len(block_preds) == 1:
+                    env = dict(out_env[id(block_preds[0])] or {})
                 else:
-                    env = _meet([out_env[id(p)]
-                                 for p in preds.get(block, [])])
+                    env = _meet([out_env[id(p)] for p in block_preds])
                 in_env[id(block)] = dict(env)
                 for instr in block.instrs:
                     _transfer(instr, env)
                 if out_env[id(block)] != env:
                     out_env[id(block)] = env
                     changed = True
+                    dirty.update(id(succ) for succ in succs[id(block)])
             if not changed:
                 break
         return in_env
@@ -137,7 +141,6 @@ class ConstantPropagation(Pass):
     def _fold_dbg(value, env):
         """Constant-fold a dbg operand under the environment: plain
         registers and salvaged affine expressions alike."""
-        from ..ir.values import AffineExpr
         if isinstance(value, VReg):
             known = env.get(value, _BOTTOM)
             if known is not _BOTTOM:

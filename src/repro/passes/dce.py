@@ -8,7 +8,10 @@ pass are also removable when their result is dead.
 Debug handling: every removed definition goes through the shared salvage
 machinery (:mod:`repro.passes.salvage`), which rewrites dangling
 ``dbg.value`` operands into constants or affine expressions over surviving
-registers, or kills them honestly.
+registers, or kills them honestly.  The pass builds one
+:class:`~repro.passes.salvage.SalvageIndex` per function before its first
+deletion and reports every deletion to it, so salvage never rescans the
+function.
 
 Hook points:
 
@@ -23,14 +26,12 @@ Hook points:
 
 from __future__ import annotations
 
-from typing import Set
-
 from ..ir.instructions import Call, DbgValue, Instr
 from ..ir.liveness import liveness
 from ..ir.module import Function
-from ..ir.values import AffineExpr, Const, VReg
+from ..ir.values import AffineExpr, Const
 from .base import Pass, PassContext
-from .salvage import salvage_dbg_uses
+from .salvage import SalvageIndex, salvage_dbg_uses
 
 
 class DeadCodeElimination(Pass):
@@ -51,6 +52,7 @@ class DeadCodeElimination(Pass):
 
     def run_on_function(self, fn: Function, ctx: PassContext) -> bool:
         changed = False
+        salvage_index = None
         for _round in range(10):
             info = liveness(fn)
             removed_any = False
@@ -76,10 +78,13 @@ class DeadCodeElimination(Pass):
                     live.update(instr.uses())
                 # Remove from the end so indices stay valid, salvaging
                 # dbg uses first.
+                if to_remove and salvage_index is None:
+                    salvage_index = SalvageIndex(fn)
                 for idx in sorted(to_remove, reverse=True):
                     instr = block.instrs[idx]
-                    self._salvage(fn, block, idx, instr, ctx)
+                    self._salvage(fn, block, idx, instr, ctx, salvage_index)
                     del block.instrs[idx]
+                    salvage_index.deleted(instr)
                     removed_any = True
             if not removed_any:
                 break
@@ -87,7 +92,7 @@ class DeadCodeElimination(Pass):
         return changed
 
     def _salvage(self, fn: Function, block, idx: int, instr: Instr,
-                 ctx: PassContext) -> None:
+                 ctx: PassContext, salvage_index: SalvageIndex) -> None:
         if isinstance(instr, Call):
             callee = ctx.module.functions.get(instr.callee)
             const_ret = getattr(callee, "const_return", None) \
@@ -112,4 +117,4 @@ class DeadCodeElimination(Pass):
                     else:
                         follower.value = None
             return
-        salvage_dbg_uses(fn, block, idx, ctx, caller="dce")
+        salvage_dbg_uses(fn, block, idx, ctx, "dce", salvage_index)

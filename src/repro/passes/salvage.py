@@ -17,9 +17,10 @@ defects (clang LSR 53855, gcc DCE/DSE cases, ...).
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import defaultdict
+from typing import Dict, List, Optional
 
-from ..ir.instructions import BinOp, Call, DbgValue, Instr, Move, UnOp
+from ..ir.instructions import BinOp, DbgValue, Instr, Move, UnOp
 from ..ir.module import BasicBlock, Function
 from ..ir.values import AffineExpr, Const, GlobalRef, SlotRef, VReg
 from .base import PassContext
@@ -70,10 +71,56 @@ def _redefined_between(block: BasicBlock, start: int, end: int,
     return False
 
 
+class SalvageIndex:
+    """Per-function tables that replace salvage's whole-function scans:
+    how many instructions define each register, and which ``DbgValue``s
+    refer to it.
+
+    The deleting pass builds one before its first deletion and owns it
+    for the rest of its run over the function.  Both sides keep it
+    current: :func:`salvage_dbg_uses` notes every dbg value it re-points
+    at a register, and the pass calls :meth:`deleted` once it has
+    removed an instruction.  An entry whose dbg value was later killed
+    or re-pointed without a note is stale; :meth:`dbg_refs` re-checks
+    each entry, so stale ones are harmless.
+    """
+
+    def __init__(self, fn: Function):
+        self.defs: Dict[VReg, int] = defaultdict(int)
+        #: register -> dbg values that referred to it; a dict used as a
+        #: set, so a dbg value noted twice is still visited once
+        self.refs: Dict[VReg, Dict[DbgValue, None]] = defaultdict(dict)
+        for block in fn.blocks:
+            for instr in block.instrs:
+                if isinstance(instr, DbgValue):
+                    self.note(instr)
+                else:
+                    dst = instr.defs()  # None for every debug intrinsic
+                    if dst is not None:
+                        self.defs[dst] += 1
+
+    def note(self, dbg: DbgValue) -> None:
+        vreg = dbg.dbg_vreg()
+        if vreg is not None:
+            self.refs[vreg][dbg] = None
+
+    def deleted(self, instr: Instr) -> None:
+        dst = instr.defs()
+        if dst is not None:
+            self.defs[dst] -= 1
+
+    def dbg_refs(self, vreg: VReg) -> List[DbgValue]:
+        """The dbg values that refer to ``vreg`` now."""
+        return [dbg for dbg in self.refs.get(vreg, ())
+                if dbg.dbg_vreg() is vreg]
+
+
 def salvage_dbg_uses(fn: Function, block: BasicBlock, index: int,
-                     ctx: PassContext, caller: str) -> None:
+                     ctx: PassContext, caller: str,
+                     salvage_index: SalvageIndex) -> None:
     """Rewrite or kill dbg values dangling on ``block.instrs[index]``
-    (which the caller is about to delete)."""
+    (which the caller is about to delete).  ``salvage_index`` still
+    counts that instruction among the definitions."""
     dying = block.instrs[index]
     target = dying.defs()
     if target is None:
@@ -123,6 +170,7 @@ def salvage_dbg_uses(fn: Function, block: BasicBlock, index: int,
                     instr.value = composed  # None kills, as required
                 else:
                     instr.value = affine
+                salvage_index.note(instr)
                 continue
         instr.value = None  # honest kill: value not recoverable
 
@@ -132,36 +180,25 @@ def salvage_dbg_uses(fn: Function, block: BasicBlock, index: int,
     # remaining reference dangles: codegen would hand it a register no
     # instruction ever writes — the debugger reads garbage (the
     # "Incorrect DIE" class).  Salvage them the same way, or kill.
-    for other in fn.blocks:
-        for instr in other.instrs:
-            if instr is not dying and not instr.is_dbg() and \
-                    instr.defs() is target:
-                return  # another definition keeps the register live
+    if salvage_index.defs[target] > 1:
+        return  # another definition keeps the register live
     base_defs = 0
     if affine is not None:
-        base_defs = sum(
-            1 for other in fn.blocks for instr in other.instrs
-            if not instr.is_dbg() and instr.defs() is affine.vreg)
-    for other in fn.blocks:
-        for instr in other.instrs:
-            if not isinstance(instr, DbgValue):
-                continue
-            current = instr.value
-            if not (current is target or
-                    (isinstance(current, AffineExpr) and
-                     current.vreg is target)):
-                continue
-            if defective:
-                instr.value = None
-            elif replacement is not None:
-                instr.value = replacement
-            elif affine is not None and base_defs == 1:
-                if isinstance(current, AffineExpr):
-                    instr.value = _compose(current, affine)
-                else:
-                    instr.value = affine
+        base_defs = salvage_index.defs.get(affine.vreg, 0)
+    for instr in salvage_index.dbg_refs(target):
+        current = instr.value
+        if defective:
+            instr.value = None
+        elif replacement is not None:
+            instr.value = replacement
+        elif affine is not None and base_defs == 1:
+            if isinstance(current, AffineExpr):
+                instr.value = _compose(current, affine)
             else:
-                instr.value = None
+                instr.value = affine
+            salvage_index.note(instr)
+        else:
+            instr.value = None
 
 
 def kill_dbg_for_vreg(fn: Function, vreg: VReg) -> None:

@@ -5,9 +5,12 @@ import pytest
 from repro.ir import (
     DbgValue, Load, Move, Store, lower_program, run_module, verify_module,
 )
-from repro.ir.instructions import BinOp, Call
-from repro.ir.values import Const, VReg, AffineExpr
+from repro.analysis.symbols import Symbol
+from repro.ir.instructions import BinOp, Branch, Call, Jump, Ret
+from repro.ir.module import Function, Module
+from repro.ir.values import Const, GlobalRef, VReg, AffineExpr
 from repro.lang import parse, print_program
+from repro.lang.types import INT
 from repro.passes import (
     ConstantPropagation, CopyPropagation, DeadCodeElimination,
     DeadStoreElimination, IPAPureConst, InstCombine, Inliner,
@@ -172,6 +175,27 @@ int main(void) {
     assert run_module(module).exit_code == 7
 
 
+def test_constprop_revisits_loop_header_when_back_edge_changes():
+    # Round 1 sees i = 0 on the header's only visited edge; the latch's
+    # i + 1 reaches the header through the back edge in round 2, which
+    # must lower i to unknown there while k stays the constant 3.
+    module, result = run_pipeline("""
+volatile int c;
+int main(void) {
+    int i, k = 3;
+    for (i = 0; i < 4; i++)
+        c = i + k;
+    return k;
+}""", [Mem2Reg(), ConstantPropagation()])
+    assert result.exit_code == 3
+    assert [o.kind for o in result.observations].count("vstore") == 4
+    fn = module.functions["main"]
+    assert any(isinstance(i, Branch) for i in fn.instructions())
+    adds = [i for i in fn.instructions()
+            if isinstance(i, BinOp) and i.op == "+"]
+    assert any(isinstance(a.a, VReg) and a.b == Const(3) for a in adds)
+
+
 # -- DCE -----------------------------------------------------------------------
 
 def test_dce_removes_dead_code():
@@ -230,6 +254,164 @@ def test_dce_removes_pure_calls_only_with_ipa():
     calls = [i for i in module.functions["main"].instructions()
              if isinstance(i, Call) and i.external]
     assert calls
+
+
+# -- DCE salvage index (hand-built IR: each case pins one index rule) -------------
+
+class _Hooks:
+    """Fires every hook point in ``points`` and records the calls."""
+
+    def __init__(self, *points):
+        self.points = points
+        self.calls = []
+
+    def fires(self, point, **info):
+        self.calls.append((point, info.get("vreg", info.get("callee"))))
+        return point in self.points
+
+
+def _hand_main():
+    module = Module()
+    fn = module.add_function(Function("main"))
+    return module, fn
+
+
+def _dbg(name, value):
+    symbol = Symbol(name=name, type=INT, kind="local", decl=None,
+                    function="main")
+    return DbgValue(symbol=symbol, value=value)
+
+
+def _run_dce(module, hooks=None):
+    ctx = PassContext(module=module, hooks=hooks or _Hooks())
+    return DeadCodeElimination().run(ctx)
+
+
+def test_dce_salvages_loop_exit_dbg_of_deleted_induction_variable():
+    module, fn = _hand_main()
+    entry, loop, done = (fn.new_block(n) for n in ("entry", "loop", "exit"))
+    b, i = VReg("b"), VReg("i")
+    entry.instrs = [Load(dst=b, addr=GlobalRef("g")), Jump(target=loop)]
+    in_loop = _dbg("x", i)
+    loop.instrs = [BinOp(dst=i, op="+", a=b, b=Const(1)), in_loop,
+                   Branch(cond=b, if_true=loop, if_false=done)]
+    at_exit, scaled = _dbg("x", i), _dbg("y", AffineExpr(i, 2, 0, 1))
+    done.instrs = [at_exit, scaled, Ret(value=b)]
+    assert _run_dce(module)
+    assert not any(isinstance(instr, BinOp) for instr in loop.instrs)
+    for dbg in (in_loop, at_exit):
+        assert (dbg.value.vreg, dbg.value.mul, dbg.value.add) == (b, 1, 1)
+    assert (scaled.value.vreg, scaled.value.mul, scaled.value.add) == \
+        (b, 2, 2)
+
+
+@pytest.mark.parametrize("survives", [True, False])
+def test_dce_leaves_other_blocks_alone_while_a_definition_survives(
+        survives):
+    # Both arms define t.  While the right arm's definition lives, the
+    # join's dbg value keeps naming t; once DCE deletes it too, the
+    # last deletion salvages the join against the right arm's t = b + 2.
+    module, fn = _hand_main()
+    entry, left, right, join = (fn.new_block(n) for n in
+                                ("entry", "left", "right", "join"))
+    b, t = VReg("b"), VReg("t")
+    entry.instrs = [Load(dst=b, addr=GlobalRef("g")),
+                    Branch(cond=b, if_true=left, if_false=right)]
+    in_block = _dbg("x", t)
+    left.instrs = [BinOp(dst=t, op="+", a=b, b=Const(1)), in_block,
+                   Jump(target=join)]
+    survivor = BinOp(dst=t, op="+", a=b, b=Const(2))
+    right.instrs = [survivor, Jump(target=join)]
+    if survives:
+        right.instrs.insert(1, Store(addr=GlobalRef("g"), value=t))
+    elsewhere = _dbg("x", t)
+    join.instrs = [elsewhere, Ret(value=Const(0))]
+    assert _run_dce(module)
+    assert (in_block.value.vreg, in_block.value.add) == (b, 1)
+    if survives:
+        assert elsewhere.value is t
+        assert survivor in right.instrs
+    else:
+        assert (elsewhere.value.vreg, elsewhere.value.add) == (b, 2)
+        assert survivor not in right.instrs
+
+
+def test_dce_salvages_through_a_chain_of_deleted_definitions():
+    # u = t * 2 dies first and re-points both dbg values at t; the
+    # index must list them under t so deleting t = b + 1 reaches the
+    # one in the other block too.
+    module, fn = _hand_main()
+    entry, done = fn.new_block("entry"), fn.new_block("exit")
+    b, t, u = VReg("b"), VReg("t"), VReg("u")
+    after = _dbg("y", u)
+    entry.instrs = [Load(dst=b, addr=GlobalRef("g")),
+                    BinOp(dst=t, op="+", a=b, b=Const(1)),
+                    BinOp(dst=u, op="*", a=t, b=Const(2)), after,
+                    Jump(target=done)]
+    later = _dbg("z", u)
+    done.instrs = [later, Ret(value=b)]
+    assert _run_dce(module)
+    for dbg in (after, later):
+        assert (dbg.value.vreg, dbg.value.mul, dbg.value.add) == (b, 2, 2)
+
+
+def test_dce_salvages_self_referential_definition():
+    # ``v = v + 1`` is the only definition of a parameter register, so
+    # the function-wide sweep runs after the in-block rewrite.  That
+    # rewrite still refers to v, so the sweep composes it once more,
+    # exactly as the whole-function scan it replaced did.
+    module, fn = _hand_main()
+    entry, done = fn.new_block("entry"), fn.new_block("exit")
+    v = VReg("v")
+    fn.params.append((Symbol(name="v", type=INT, kind="param", decl=None,
+                             function="main"), v))
+    after = _dbg("x", v)
+    entry.instrs = [BinOp(dst=v, op="+", a=v, b=Const(1)), after,
+                    Jump(target=done)]
+    later = _dbg("y", v)
+    done.instrs = [later, Ret(value=Const(0))]
+    assert _run_dce(module)
+    assert (after.value.vreg, after.value.add) == (v, 2)
+    assert (later.value.vreg, later.value.add) == (v, 1)
+
+
+def test_dce_salvage_defect_kills_instead_of_salvaging():
+    module, fn = _hand_main()
+    entry, done = fn.new_block("entry"), fn.new_block("exit")
+    b, t = VReg("b"), VReg("t")
+    after = _dbg("x", t)
+    entry.instrs = [Load(dst=b, addr=GlobalRef("g")),
+                    BinOp(dst=t, op="+", a=b, b=Const(1)), after,
+                    Jump(target=done)]
+    later = _dbg("y", AffineExpr(t, 3, 0, 1))
+    done.instrs = [later, Ret(value=b)]
+    hooks = _Hooks("dce.salvage")
+    assert _run_dce(module, hooks)
+    assert after.value is None and later.value is None
+    assert hooks.calls == [("dce.salvage", "t")]
+
+
+@pytest.mark.parametrize("defective", [False, True])
+def test_dce_call_path_leaves_harmless_stale_index_entries(defective):
+    # The deleted pure call rewrites ``x`` without telling the index,
+    # so ``x`` stays listed under r.  Deleting r's other definition
+    # later sweeps that list: the stale entry must be skipped.
+    module, fn = _hand_main()
+    pure = module.add_function(Function("k"))
+    pure.known_pure, pure.const_return = True, 7
+    block = fn.new_block("entry")
+    r = VReg("r")
+    first, from_call = _dbg("y", r), _dbg("x", r)
+    block.instrs = [Move(dst=r, src=Const(5)), first,
+                    Call(dst=r, callee="k"), from_call,
+                    Ret(value=Const(0))]
+    hooks = _Hooks("ipa.salvage_const" if defective else None)
+    assert _run_dce(module, hooks)
+    assert block.instrs[-1].is_terminator() and len(block.instrs) == 3
+    assert first.value == Const(5)
+    assert from_call.value == (None if defective else Const(7))
+    assert hooks.calls == [("ipa.salvage_const", "k"),
+                           ("dce.salvage", "r")]
 
 
 # -- copy propagation / CSE -------------------------------------------------------
