@@ -11,11 +11,13 @@ session-finish hook):
   more than one core to shard across.
 * **matrix vs per-cell** — the full (gcc+clang) x all-levels x
   (gdb-like+lldb-like) grid through :func:`run_matrix_campaign` versus
-  one :func:`run_campaign` per cell, measured in the same run on the
-  same seeds.  Every cell must be ``to_json()``-identical and the matrix
-  driver must be at least 2x faster (``matrix_speedup``), with a
-  checked-in throughput floor (``bench_floor.json``) guarding against
-  >30% serial-throughput regressions.
+  the per-cell reference — :func:`run_campaign_on_programs` over
+  ``generate_validated(seed)`` for each cell, one ``Compiler.compile``
+  (resolve, lower, optimize, link) per level — measured in the same run
+  on the same seeds.  Every cell must be ``to_json()``-identical and
+  the matrix driver must be at least 2x faster (``matrix_speedup``),
+  with a checked-in throughput floor (``bench_floor.json``) guarding
+  against >30% serial-throughput regressions.
 
 ``REPRO_BENCH_STRICT=0`` waives the assertions (noisy shared runners);
 the data points are always emitted.
@@ -29,7 +31,8 @@ from repro.compilers import Compiler, CompilerSpec
 from repro.debugger import DebuggerSpec, GdbLike, LldbLike
 from repro.fuzz import generate_validated
 from repro.pipeline import (
-    run_campaign, run_campaign_parallel, run_matrix_campaign,
+    run_campaign, run_campaign_on_programs, run_campaign_parallel,
+    run_matrix_campaign,
 )
 
 from conftest import banner, pool_size, record_campaign_bench
@@ -104,10 +107,11 @@ def test_matrix_vs_per_cell(benchmark):
 
     def run():
         # Each phase is priced as fresh processes would pay it: the
-        # per-cell baseline is four independent campaign runs (exactly
-        # what four `repro-campaign` invocations do), so every run
-        # regenerates the pool; the matrix pays the frontend once.
-        # Two rounds, best-of per phase, to shave scheduler noise.
+        # per-cell baseline is four independent reference runs, each
+        # regenerating the pool and compiling every level from source
+        # (run_campaign is the 1x1 matrix, so it is no baseline); the
+        # matrix pays the frontend once.  Two rounds, best-of per
+        # phase, to shave scheduler noise.
         per_cell = matrix = None
         timings["per_cell"] = timings["matrix"] = float("inf")
         for _round in range(2):
@@ -116,9 +120,9 @@ def test_matrix_vs_per_cell(benchmark):
             for family in families:
                 for cls in debugger_classes:
                     generate_validated.cache_clear()
-                    results[(family, cls.name)] = run_campaign(
-                        Compiler(family, "trunk"), cls(),
-                        pool_size=count)
+                    results[(family, cls.name)] = run_campaign_on_programs(
+                        [generate_validated(seed) for seed in range(count)],
+                        Compiler(family, "trunk"), cls())
             timings["per_cell"] = min(timings["per_cell"],
                                       time.perf_counter() - started)
             per_cell = results

@@ -4,14 +4,16 @@ Every campaign seed now evaluates inside a
 :class:`~repro.faults.FailureBoundary` (stage probes + a per-pair
 try/except); this benchmark pins that tax.  Two timed passes over the
 same seed pool and cell (gcc trunk x gdb-like, all levels): one through
-the containment boundary (``contain=True``, the production default, no
-fault plan) and one through the bare pre-containment path
-(``contain=False``).  Both must produce bit-identical programs — the
-boundary is transparent when nothing fails — and the relative overhead
-must stay under the ``max_faults_overhead_pct`` floor in
-``bench_floor.json`` (waivable with ``REPRO_BENCH_STRICT=0`` like every
-other floor here).  Timings are the best of three interleaved rounds,
-so one scheduler hiccup cannot fail the bar.
+the containment boundary (the production path, no fault plan) and one
+with the driver's ``FailureBoundary`` monkeypatched to
+:class:`PassThroughBoundary`, which calls the evaluation thunk with a
+no-op probe and the store write directly — the bare pre-containment
+path, with no option in the package.  Both must produce bit-identical
+programs — the boundary is transparent when nothing fails — and the
+relative overhead must stay under the ``max_faults_overhead_pct`` floor
+in ``bench_floor.json`` (waivable with ``REPRO_BENCH_STRICT=0`` like
+every other floor here).  Timings are the best of three interleaved
+rounds, so one scheduler hiccup cannot fail the bar.
 """
 
 import json
@@ -33,23 +35,46 @@ POOL = pool_size(16)
 ROUNDS = 3
 
 
-def test_faults_overhead(benchmark, capsys):
+def _no_probe(stage):
+    return None
+
+
+class PassThroughBoundary:
+    """A ``FailureBoundary`` stand-in that contains nothing: the thunk
+    runs once with a no-op probe and exceptions propagate."""
+
+    def __init__(self, cell, **options):
+        self.failures = []
+
+    def evaluate(self, seed, thunk, item="", cell=None,
+                 initial_stage="generate"):
+        return thunk(_no_probe), None
+
+    def store_write(self, seed, thunk, item="", cell=None):
+        thunk()
+        return True
+
+
+def test_faults_overhead(benchmark, capsys, monkeypatch):
     compiler = Compiler("gcc", "trunk")
     debugger = GdbLike()
     seeds = SeedSpec(base=0, count=POOL)
     timings = {"contained": [], "bare": []}
     results = {}
 
-    def timed(label, **kwargs):
+    def timed(label):
         started = time.perf_counter()
-        result = run_campaign_seeds(compiler, debugger, seeds, **kwargs)
+        result = run_campaign_seeds(compiler, debugger, seeds)
         timings[label].append(time.perf_counter() - started)
         results[label] = result
 
     def run():
         for _ in range(ROUNDS):
-            timed("contained", contain=True)
-            timed("bare", contain=False)
+            timed("contained")
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.pipeline.matrix.FailureBoundary",
+                              PassThroughBoundary)
+                timed("bare")
         return results["contained"], results["bare"]
 
     contained, bare = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,7 +9,9 @@ Demonstrates the matrix subsystem:
   mutate cheap clones of one shared IR lowering, and both debuggers
   observe one execution per compiled cell;
 * every cell is bit-identical (``to_json()``) to the per-cell
-  ``run_campaign`` it replaces, only ~2x faster over the 2-family grid;
+  reference ``run_campaign_on_programs`` — one ``Compiler.compile`` per
+  level over the same generated programs — only ~2x faster over the
+  2-family grid (``run_campaign`` itself is the 1x1 matrix);
 * per-seed lowered-module fingerprints ride in the artifact, so sharded
   runs can prove their workers lowered the same IR.
 
@@ -23,8 +25,8 @@ import os
 import time
 
 from repro import (
-    Compiler, GdbLike, MatrixCampaignResult, run_campaign,
-    run_matrix_campaign,
+    Compiler, GdbLike, MatrixCampaignResult, generate_validated,
+    run_campaign_on_programs, run_matrix_campaign,
 )
 
 POOL = int(os.environ.get("POOL", "12"))
@@ -39,12 +41,13 @@ def main():
           f"cells, {elapsed:.2f}s ({POOL / elapsed:.2f} programs/sec)\n")
     print(matrix.format_summary())
 
-    # Any cell is exactly the per-cell campaign it replaces.
-    per_cell = run_campaign(Compiler("gcc", "trunk"), GdbLike(),
-                            pool_size=POOL)
+    # Any cell is exactly the per-cell reference over the same seeds.
+    programs = [generate_validated(seed) for seed in range(POOL)]
+    per_cell = run_campaign_on_programs(programs, Compiler("gcc", "trunk"),
+                                        GdbLike())
     cell = matrix.cell("gcc", "trunk", "gdb-like")
     assert cell.to_json() == per_cell.to_json(), \
-        "matrix cells must be bit-identical to per-cell campaigns"
+        "matrix cells must be bit-identical to the per-cell reference"
 
     # Artifacts round-trip exactly, fingerprints included.
     loaded = MatrixCampaignResult.from_json(matrix.to_json())

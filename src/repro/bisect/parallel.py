@@ -7,9 +7,11 @@ JSON so a :class:`BisectShard` is fully picklable across the spawn
 boundary.  Workers run the serial driver per slice; the merged result
 is bit-identical to one serial run because every recorded value is a
 function of the witness alone (see :mod:`repro.bisect.campaign`).
-Supervision — bounded respawns with backoff for dying workers, serial
-in-driver rescue for shards that keep crashing — reuses
-:func:`~repro.pipeline.parallel._map_shards` unchanged.
+Supervision is :func:`~repro.pipeline.parallel._map_shards`'s one
+path for every sharded driver: a :class:`BisectShard` carries
+``crash_base`` and ``escalate_crashes``, so a dying worker's shard
+respawns with its death count and, past the retry bound, the same
+worker entry point re-runs it in the driver with crash escalation off.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..faults.plan import FaultPlan
 from ..pipeline.campaign import CampaignResult
 from ..pipeline.parallel import (
     SHARDS_PER_WORKER, RetryPolicy, _map_shards, _open_store,
-    _respawn_bump, default_workers,
+    default_workers,
 )
 from .campaign import (
     BISECT_SCHEMA, BisectCampaignResult, merge_bisect_results,
@@ -47,36 +49,22 @@ class BisectShard:
     crash_base: int = 0
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     retry_failed: bool = True
+    escalate_crashes: bool = True
 
 
 def run_bisect_shard(shard: BisectShard) -> BisectCampaignResult:
     """Worker entry point: the serial driver over one program slice
     (writing through the shared WAL-mode store when the shard names
-    one).  Injected worker death escalates for the supervisor."""
+    one).  Injected worker death escalates for the supervisor, except
+    in its in-driver rescue run."""
     store = _open_store(shard.store_path)
     try:
         return run_bisect_campaign(
             CampaignResult.from_json(shard.campaign_json),
             discover=shard.discover, defects=shard.defects, store=store,
             faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base, escalate_crashes=True,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _rescue_bisect_shard(shard: BisectShard, crashes: int,
-                         error: BaseException) -> BisectCampaignResult:
-    """Re-run an abandoned shard in-driver under the serial containment
-    boundary (crash-heavy witnesses quarantine as failure records)."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_bisect_campaign(
-            CampaignResult.from_json(shard.campaign_json),
-            discover=shard.discover, defects=shard.defects, store=store,
-            faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=crashes, escalate_crashes=False,
+            crash_base=shard.crash_base,
+            escalate_crashes=shard.escalate_crashes,
             retry_failed=shard.retry_failed)
     finally:
         if store is not None:
@@ -159,8 +147,7 @@ def run_bisect_campaign_parallel(
         retry = RetryPolicy(max_attempts=max_attempts)
     merged = merge_bisect_results(
         _map_shards(run_bisect_shard, shards, workers, start_method,
-                    retry=retry, respawn=_respawn_bump,
-                    rescue=_rescue_bisect_shard, sleeper=sleeper))
+                    retry=retry, sleeper=sleeper))
     # Slice pool sizes sum to the evaluated program count; the artifact
     # reports the campaign's nominal pool (quarantined seeds included),
     # exactly as the serial driver does.

@@ -11,8 +11,7 @@ from .matrix import (
     run_matrix_campaign, run_matrix_campaign_seeds, run_matrix_study,
 )
 from .parallel import (
-    CampaignShard, MatrixShard, RetryPolicy, StudyShard,
-    run_campaign_parallel, run_campaign_shard,
+    MatrixShard, RetryPolicy, StudyShard, run_campaign_parallel,
     run_matrix_campaign_parallel, run_matrix_shard, run_study_parallel,
     run_study_shard,
 )

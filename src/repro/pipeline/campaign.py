@@ -24,24 +24,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-    Tuple,
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..analysis.source_facts import SourceFacts
 from ..compilers.compiler import Compiler
 from ..conjectures.base import CONJECTURES, Violation, check_all
 from ..debugger.base import Debugger
-from ..faults.boundary import DEFAULT_MAX_ATTEMPTS, FailureBoundary
+from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..faults.records import (
     FailureRecord, failures_from_dicts, failures_to_dicts,
     merge_failures,
 )
-from ..fuzz.generator import generate_validated
 from ..fuzz.seeds import SeedSpec
 from ..lang.ast_nodes import Program
-from ..lang.printer import print_program
 
 #: A unique violation identity: (conjecture, line, variable).
 ViolationKey = Tuple[str, int, str]
@@ -314,36 +311,6 @@ class CampaignResult:
         dispatches over every schema)."""
         return cls.from_dict(json.loads(text))
 
-    # -- reporting ---------------------------------------------------------------
-    # The rendering logic lives in repro.report; these shims survive one
-    # deprecation cycle for callers of the original methods.
-
-    def format_table1(self) -> str:
-        """Deprecated: use :func:`repro.report.format_table1_text` (or
-        any renderer over :func:`repro.report.table1`)."""
-        import warnings
-
-        from ..report.tables import format_table1_text
-        warnings.warn(
-            "CampaignResult.format_table1 is deprecated; use "
-            "repro.report.format_table1_text (or render "
-            "repro.report.table1 with any renderer)",
-            DeprecationWarning, stacklevel=2)
-        return format_table1_text(self)
-
-    def format_venn(self, exclude: Sequence[str] = ("Oz",)) -> str:
-        """Deprecated: use :func:`repro.report.format_venn_text` (or
-        any renderer over :func:`repro.report.venn_table`)."""
-        import warnings
-
-        from ..report.figures import format_venn_text
-        warnings.warn(
-            "CampaignResult.format_venn is deprecated; use "
-            "repro.report.format_venn_text (or render "
-            "repro.report.venn_table with any renderer)",
-            DeprecationWarning, stacklevel=2)
-        return format_venn_text(self, exclude=exclude)
-
 
 def merge_results(results: Iterable[CampaignResult]) -> CampaignResult:
     """Fold any number of shard results into one (at least one needed;
@@ -354,8 +321,7 @@ def merge_results(results: Iterable[CampaignResult]) -> CampaignResult:
 def test_program_full(program: Program, compiler: Compiler,
                       debugger: Debugger,
                       levels: Optional[Sequence[str]] = None,
-                      facts: Optional[SourceFacts] = None,
-                      probe: Optional[Callable[[str], None]] = None
+                      facts: Optional[SourceFacts] = None
                       ) -> Tuple[Dict[str, List[Violation]],
                                  Dict[str, List[str]]]:
     """Check one program at each level.
@@ -363,9 +329,7 @@ def test_program_full(program: Program, compiler: Compiler,
     Returns ``(violations per level, fired defect ids per level)`` —
     the second mapping is the compile-time ground truth recorded on
     :class:`ProgramResult` (levels whose compile fired nothing are
-    omitted).  ``probe`` is the containment boundary's stage hook
-    (see :class:`repro.faults.FailureBoundary`); callers outside a
-    boundary leave it None.
+    omitted).
     """
     if facts is None:
         facts = SourceFacts(program)
@@ -374,11 +338,7 @@ def test_program_full(program: Program, compiler: Compiler,
     out: Dict[str, List[Violation]] = {}
     fired: Dict[str, List[str]] = {}
     for level in levels:
-        if probe is not None:
-            probe("compile")
         compilation = compiler.compile(program, level)
-        if probe is not None:
-            probe("trace")
         trace = debugger.trace(compilation.exe)
         out[level] = check_all(facts, trace)
         fired_ids = compilation.fired_defects()
@@ -431,99 +391,32 @@ def run_campaign_seeds(compiler: Compiler, debugger: Debugger,
                        store=None,
                        faults: Optional[FaultPlan] = None,
                        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                       crash_base: int = 0,
-                       escalate_crashes: bool = False,
-                       retry_failed: bool = True,
-                       contain: bool = True) -> CampaignResult:
-    """Campaign over an explicit seed range (one shard's worth).
+                       retry_failed: bool = True) -> CampaignResult:
+    """Campaign over an explicit seed range: the 1x1 matrix.
 
-    With a :class:`~repro.store.CampaignStore`, the run is *resumable*:
-    every already-evaluated ``(seed, cell)`` pair is loaded back instead
-    of recompiled (the cell is ``(family, version, debugger, level
-    set)``), and every freshly evaluated pair is written through — so an
-    interrupted or extended campaign only pays for the delta, and the
-    returned result is bit-identical to an uninterrupted serial run.
-
-    Evaluation runs inside a :class:`~repro.faults.FailureBoundary`:
-    an exception anywhere in generate/compile/trace quarantines that
-    seed as a structured failure record instead of aborting the
-    campaign (``contain=False`` restores the raise-through behaviour —
-    the benchmark's fault-free baseline).  ``faults`` threads a
-    deterministic :class:`~repro.faults.FaultPlan` into the boundary
-    for chaos runs; ``crash_base``/``escalate_crashes`` are the
-    parallel supervisor's crash-accounting knobs
-    (:mod:`repro.pipeline.parallel`).  Quarantined pairs are recorded
-    in the store and retried on the next resumed run unless
-    ``retry_failed=False``.  ``KeyboardInterrupt`` flushes completed
-    work to the store before propagating.
+    Returns the one cell of
+    :func:`~repro.pipeline.matrix.run_matrix_campaign_seeds` over
+    ``[compiler] x [debugger]``, so it shares the matrix's resume,
+    containment and flush contract: with a
+    :class:`~repro.store.CampaignStore` every already-evaluated ``(seed,
+    cell)`` pair is loaded back instead of recompiled (the cell is
+    ``(family, version, debugger, level set)``) and every fresh pair is
+    written through; an exception in generate/compile/trace quarantines
+    the seed as a structured failure record (``faults`` threads a
+    deterministic :class:`~repro.faults.FaultPlan` in for chaos runs);
+    quarantined pairs are retried on resume unless
+    ``retry_failed=False``; ``KeyboardInterrupt`` flushes the store
+    before propagating.  The cell's failures come back sorted and
+    deduplicated (:func:`~repro.faults.merge_failures`).
     """
-    if levels is None:
-        levels = [l for l in compiler.levels if l != "O0"]
-    result = CampaignResult(family=compiler.family,
-                            version=compiler.version,
-                            levels=list(levels), pool_size=seeds.count)
-    run = None
-    if store is not None:
-        run = store.run_id(CAMPAIGN_SCHEMA, compiler.family,
-                           compiler.version, levels,
-                           debugger=debugger.name)
-    cell = f"{compiler.family}-{compiler.version}/{debugger.name}"
-    boundary = FailureBoundary(cell, faults=faults,
-                               max_attempts=max_attempts,
-                               crash_base=crash_base,
-                               escalate_crashes=escalate_crashes)
-    try:
-        for seed in seeds.seeds():
-            if run is not None:
-                stored = store.get_result(run, seed)
-                if stored is not None:
-                    result.programs.append(
-                        ProgramResult.from_dict(stored))
-                    continue
-                if not retry_failed:
-                    prior = stored_failure(store, run, seed)
-                    if prior is not None:
-                        result.failures.append(prior)
-                        continue
-            if not contain:
-                program = generate_validated(seed)
-                violations, fired = test_program_full(
-                    program, compiler, debugger, levels)
-            else:
-                def compute(probe, seed=seed):
-                    probe("generate")
-                    program = generate_validated(seed)
-                    violations, fired = test_program_full(
-                        program, compiler, debugger, levels,
-                        probe=probe)
-                    return program, violations, fired
-                value, record = boundary.evaluate(seed, compute)
-                if value is None:
-                    if run is not None:
-                        persist_failure(store, run, record)
-                    continue
-                program, violations, fired = value
-            program_result = ProgramResult(
-                seed=seed, violations=violations, fired=fired)
-            result.programs.append(program_result)
-            if run is not None:
-                def write(program=program,
-                          program_result=program_result, seed=seed):
-                    store.add_program(seed, print_program(program))
-                    store.put_result(run, seed,
-                                     program_result.to_dict())
-                if contain:
-                    if boundary.store_write(seed, write):
-                        store.clear_failure(run, seed, "")
-                else:
-                    write()
-    except KeyboardInterrupt:
-        if store is not None:
-            store.checkpoint()
-        raise
-    result.failures = merge_failures(result.failures,
-                                     boundary.failures)
-    return result
+    from .matrix import run_matrix_campaign_seeds  # matrix imports us
+    matrix = run_matrix_campaign_seeds(
+        [compiler], [debugger], seeds, levels=levels, store=store,
+        faults=faults, max_attempts=max_attempts,
+        retry_failed=retry_failed)
+    (cell,) = matrix.cells.values()
+    cell.failures = merge_failures(cell.failures, ())
+    return cell
 
 
 def run_campaign(compiler: Compiler, debugger: Debugger,

@@ -2,9 +2,10 @@
 
 The core experiment (Table 1, Figures 1-4) pushes every pool program
 through every (compiler family x version x opt level x debugger) cell.
-The per-cell drivers (:func:`~repro.pipeline.campaign.run_campaign`) redo
-the whole frontend — generate, validate, resolve, lower — for *every*
-cell, and recompile at every level for every debugger.  The matrix driver
+The per-cell reference
+(:func:`~repro.pipeline.campaign.run_campaign_on_programs`) redoes the
+whole frontend — resolve, lower — for *every* level of every cell, and
+recompiles at every level for every debugger.  The matrix driver
 restructures the loop around shared state:
 
 * each seed program is generated/validated **once**
@@ -17,13 +18,14 @@ restructures the loop around shared state:
 * each cell's *compilation* is shared across all debugger cells — the
   debuggers re-trace the same executable instead of forcing a recompile.
 
-Results are **bit-identical** to the per-cell path: every cell of a
-:class:`MatrixCampaignResult` has exactly the ``to_json()`` artifact the
-corresponding ``run_campaign`` call would produce (pinned by
-``tests/test_matrix_fastpaths.py``).  Per-seed lowered-module
-fingerprints ride along so the sharded driver
-(:func:`~repro.pipeline.parallel.run_matrix_campaign_parallel`) can prove
-its workers lowered the same IR the serial driver would have.
+Results are **bit-identical** to the per-cell reference: every cell of
+a :class:`MatrixCampaignResult` has exactly the ``to_json()`` artifact
+the reference produces over the same seeds (pinned by
+``tests/test_matrix_fastpaths.py``).  The single-cell campaign
+(:func:`~repro.pipeline.campaign.run_campaign`) is this driver's 1x1
+case.  Per-seed lowered-module fingerprints ride along so the sharded
+driver (:func:`~repro.pipeline.parallel.run_matrix_campaign_parallel`)
+can prove its workers lowered the same IR the serial driver would have.
 """
 
 from __future__ import annotations
@@ -219,8 +221,7 @@ def merge_matrix_results(results: Iterable[MatrixCampaignResult]
 
 
 def _cell_name(key: MatrixCellKey) -> str:
-    """The failure-record cell tag — the same string the per-cell
-    campaign driver uses, so matrix failures join per-cell ones."""
+    """The failure-record cell tag: ``family-version/debugger``."""
     family, version, debugger = key
     return f"{family}-{version}/{debugger}"
 
@@ -254,10 +255,9 @@ def run_matrix_campaign_seeds(
     quarantined instead of aborting the matrix, with the shared-frontend
     failure replicated into every still-unevaluated cell (tagged with
     that cell's name) — fault decisions are keyed by ``(stage, seed)``,
-    never by cell, so the per-cell campaign driver under the same plan
-    produces the same per-cell records (up to the traceback ``digest``,
-    which fingerprints the driver's own frames).  ``KeyboardInterrupt``
-    flushes the store before propagating.
+    never by cell, so a 1x1 run of any cell under the same plan produces
+    the same records for it.  ``KeyboardInterrupt`` flushes the store
+    before propagating.
     """
     built_compilers = [_build_compiler(c) for c in compilers]
     built_debuggers = [_build_debugger(d) for d in debuggers]
@@ -420,8 +420,8 @@ def run_matrix_campaign(
 
     ``compilers`` defaults to the trunk compiler of every family in
     ``families`` (default: gcc and clang); ``debuggers`` defaults to
-    both consumers.  Every cell is bit-identical to the corresponding
-    per-cell :func:`~repro.pipeline.campaign.run_campaign` run.
+    both consumers.  Every cell is bit-identical to the 1x1
+    :func:`~repro.pipeline.campaign.run_campaign` over it.
     ``store`` makes the run resumable per cell (see
     :func:`run_matrix_campaign_seeds`); ``faults`` threads a chaos
     plan into the containment boundary.

@@ -3,7 +3,10 @@
 The paper's core experiment is embarrassingly parallel: every seed is an
 independent generate → compile-at-every-level → trace → check job. This
 module shards a seed range across ``multiprocessing`` workers and merges
-the per-shard :class:`~repro.pipeline.campaign.CampaignResult` values.
+the per-shard results.  The single-cell campaign driver
+(:func:`run_campaign_parallel`) is the 1x1 case of the sharded matrix
+(:func:`run_matrix_campaign_parallel`), so one shard type and one
+worker entry point serve both.
 
 Design invariants (pinned by ``tests/test_parallel_campaign.py``):
 
@@ -20,6 +23,11 @@ Design invariants (pinned by ``tests/test_parallel_campaign.py``):
 * **Exact study reduction** — the sharded study concatenates per-shard,
   per-program metric lists in seed order and averages left to right, the
   same float operations in the same order as the serial run.
+* **One rescue path** — every supervised shard (matrix, verify, bisect)
+  carries ``crash_base`` and ``escalate_crashes``; :func:`_map_shards`
+  respawns a crashed shard as ``replace(shard, crash_base=n)`` and, past
+  the retry bound, rescues it by running the same worker in the driver
+  with ``escalate_crashes=False``.
 
 Merged results serialize to the same ``repro-campaign/1`` /
 ``repro-matrix/1`` / ``repro-study/1`` artifacts as the serial drivers
@@ -43,11 +51,12 @@ from ..debugger.base import Debugger
 from ..debugger.specs import DebuggerSpec, spec_for
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan, InjectedCrash
+from ..faults.records import merge_failures
 from ..fuzz.seeds import SeedSpec
 from ..metrics.study import (
     CellSamples, StudyResult, measure_pool_cells, reduce_cells,
 )
-from .campaign import CampaignResult, merge_results, run_campaign_seeds
+from .campaign import CampaignResult
 from .matrix import (
     MatrixCampaignResult, merge_matrix_results, run_matrix_campaign_seeds,
 )
@@ -107,13 +116,6 @@ def as_debugger_spec(debugger: DebuggerLike) -> DebuggerSpec:
 
 def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
-
-
-def _resolve_levels(spec: CompilerSpec,
-                    levels: Optional[Sequence[str]]) -> Tuple[str, ...]:
-    if levels is None:
-        return tuple(l for l in spec.build().levels if l != "O0")
-    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,6 @@ def _run_wave(worker, items: List[Tuple[int, object]], workers: int,
 
 def _map_shards(worker, shards: List, workers: int, start_method: str,
                 retry: Optional[RetryPolicy] = None,
-                respawn: Optional[Callable] = None,
-                rescue: Optional[Callable] = None,
                 sleeper: Optional[Callable[[float], None]] = None
                 ) -> List:
     """Run ``worker`` over every shard, in shard order.
@@ -193,16 +193,17 @@ def _map_shards(worker, shards: List, workers: int, start_method: str,
     spawn cost for small jobs — while still going through the same
     shard/merge/supervision path as the multi-process run.
 
-    With a :class:`RetryPolicy` the map is *supervised*: crashed shards
-    (worker death, injected or real) are respawned — after the policy's
-    backoff, with ``respawn(shard, crashes)`` deriving the retry shard
-    (the drivers bump ``crash_base`` so crash accounting stays exact) —
-    until the policy's attempt bound, then handed to ``rescue(shard,
-    crashes, error)`` which must return a result for the abandoned
-    shard (the drivers re-run it in-process under the serial
-    containment boundary, quarantining the seeds that keep killing
-    workers).  Finished shards are never re-run.  Without a policy,
-    a crash propagates as before.
+    With a :class:`RetryPolicy` the map is *supervised*, and every
+    shard must be a frozen dataclass carrying ``crash_base`` and
+    ``escalate_crashes``.  A crashed shard (worker death, injected or
+    real) is respawned as ``replace(shard, crash_base=n)`` after the
+    policy's backoff, so the containment boundary reconstructs exact
+    crash accounting from ``n`` deaths.  Past the policy's attempt
+    bound the driver runs ``worker(replace(shard, crash_base=n,
+    escalate_crashes=False))`` itself: the serial containment boundary
+    quarantines the seeds that keep killing workers and evaluates the
+    rest.  Finished shards are never re-run.  Without a policy, a crash
+    propagates.
     """
     sleep = time.sleep if sleeper is None else sleeper
     in_process = workers <= 1 or len(shards) == 1
@@ -224,16 +225,12 @@ def _map_shards(worker, shards: List, workers: int, start_method: str,
         delay = 0.0
         for index in sorted(crashed):
             crash_counts[index] += 1
+            current[index] = replace(current[index],
+                                     crash_base=crash_counts[index])
             if crash_counts[index] >= retry.max_attempts:
-                if rescue is None:
-                    raise crashed[index]
-                results[index] = rescue(current[index],
-                                        crash_counts[index],
-                                        crashed[index])
+                results[index] = worker(
+                    replace(current[index], escalate_crashes=False))
                 continue
-            if respawn is not None:
-                current[index] = respawn(current[index],
-                                         crash_counts[index])
             respawning.append(index)
             delay = max(delay, retry.delay(str(index),
                                            crash_counts[index] - 1))
@@ -244,67 +241,6 @@ def _map_shards(worker, shards: List, workers: int, start_method: str,
 
 
 # -- campaign -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignShard:
-    """One worker's unit of campaign work (fully picklable)."""
-
-    compiler: CompilerSpec
-    debugger: DebuggerSpec
-    seeds: SeedSpec
-    levels: Tuple[str, ...]
-    store_path: Optional[str] = None
-    faults: Optional[FaultPlan] = None
-    #: How many times this shard's worker has already died — threaded
-    #: into the containment boundary so respawned workers reconstruct
-    #: exact crash accounting (see FaultPlan.prior_crashes).
-    crash_base: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    retry_failed: bool = True
-
-
-def run_campaign_shard(shard: CampaignShard) -> CampaignResult:
-    """Worker entry point: one shard on the memoized toolchain (writing
-    through the shared WAL-mode store when the shard names one).
-    Failures are contained per seed; injected worker death escalates
-    out of the boundary for the supervisor to handle."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_campaign_seeds(
-            build_cached(shard.compiler), build_cached(shard.debugger),
-            shard.seeds, levels=shard.levels, store=store,
-            faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base, escalate_crashes=True,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _rescue_campaign_shard(shard: CampaignShard, crashes: int,
-                           error: BaseException) -> CampaignResult:
-    """Last resort for a shard whose worker keeps dying: re-run it
-    in the driver process under the serial containment boundary, which
-    simulates the remaining crash budget per seed — the seeds that
-    keep killing workers quarantine as crash records, everything else
-    evaluates normally.  The campaign always completes."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_campaign_seeds(
-            build_cached(shard.compiler), build_cached(shard.debugger),
-            shard.seeds, levels=shard.levels, store=store,
-            faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=crashes, escalate_crashes=False,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _respawn_bump(shard, crashes: int):
-    """The retry incarnation of a crashed shard."""
-    return replace(shard, crash_base=crashes)
 
 
 def run_campaign_parallel(compiler: CompilerLike, debugger: DebuggerLike,
@@ -320,7 +256,8 @@ def run_campaign_parallel(compiler: CompilerLike, debugger: DebuggerLike,
                           sleeper: Optional[Callable[[float], None]] = None
                           ) -> CampaignResult:
     """Sharded, multi-process equivalent of
-    :func:`~repro.pipeline.campaign.run_campaign`.
+    :func:`~repro.pipeline.campaign.run_campaign`: the one cell of the
+    1x1 :func:`run_matrix_campaign_parallel`.
 
     Produces a result bit-identical to the serial driver for the same
     ``(pool_size, seed_base, levels)`` — including the failure records
@@ -336,30 +273,15 @@ def run_campaign_parallel(compiler: CompilerLike, debugger: DebuggerLike,
     access — a respawned shard replays its finished seeds from the
     store, so only the unfinished range is re-evaluated.
     """
-    compiler_spec = as_compiler_spec(compiler)
-    debugger_spec = as_debugger_spec(debugger)
-    levels = _resolve_levels(compiler_spec, levels)
-    if workers is None:
-        workers = default_workers()
-    spec = SeedSpec(base=seed_base, count=pool_size)
-    if pool_size == 0:
-        return CampaignResult(family=compiler_spec.family,
-                              version=compiler_spec.version,
-                              levels=list(levels), pool_size=0)
-    shards = [
-        CampaignShard(compiler=compiler_spec, debugger=debugger_spec,
-                      seeds=seed_shard, levels=levels,
-                      store_path=store_path, faults=faults,
-                      max_attempts=max_attempts,
-                      retry_failed=retry_failed)
-        for seed_shard in spec.shard(max(1, workers) * SHARDS_PER_WORKER)
-    ]
-    if retry is None:
-        retry = RetryPolicy(max_attempts=max_attempts)
-    return merge_results(
-        _map_shards(run_campaign_shard, shards, workers, start_method,
-                    retry=retry, respawn=_respawn_bump,
-                    rescue=_rescue_campaign_shard, sleeper=sleeper))
+    matrix = run_matrix_campaign_parallel(
+        compilers=[compiler], debuggers=[debugger], pool_size=pool_size,
+        seed_base=seed_base, levels=levels, workers=workers,
+        start_method=start_method, store_path=store_path, faults=faults,
+        max_attempts=max_attempts, retry_failed=retry_failed,
+        retry=retry, sleeper=sleeper)
+    (cell,) = matrix.cells.values()
+    cell.failures = merge_failures(cell.failures, ())
+    return cell
 
 
 # -- study --------------------------------------------------------------------
@@ -427,9 +349,15 @@ class MatrixShard:
     levels: Optional[Tuple[str, ...]] = None
     store_path: Optional[str] = None
     faults: Optional[FaultPlan] = None
+    #: How many times this shard's worker has already died — threaded
+    #: into the containment boundary so respawned workers reconstruct
+    #: exact crash accounting (see FaultPlan.prior_crashes).
     crash_base: int = 0
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     retry_failed: bool = True
+    #: False only for the supervisor's in-driver rescue run, where the
+    #: serial boundary simulates the remaining crash budget per seed.
+    escalate_crashes: bool = True
 
 
 def run_matrix_shard(shard: MatrixShard) -> MatrixCampaignResult:
@@ -447,25 +375,8 @@ def run_matrix_shard(shard: MatrixShard) -> MatrixCampaignResult:
             [build_cached(spec) for spec in shard.debuggers],
             shard.seeds, levels=shard.levels, store=store,
             faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base, escalate_crashes=True,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _rescue_matrix_shard(shard: MatrixShard, crashes: int,
-                         error: BaseException) -> MatrixCampaignResult:
-    """Re-run an abandoned matrix shard in-driver under the serial
-    containment boundary (crash-heavy seeds quarantine per cell)."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_matrix_campaign_seeds(
-            [build_cached(spec) for spec in shard.compilers],
-            [build_cached(spec) for spec in shard.debuggers],
-            shard.seeds, levels=shard.levels, store=store,
-            faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=crashes, escalate_crashes=False,
+            crash_base=shard.crash_base,
+            escalate_crashes=shard.escalate_crashes,
             retry_failed=shard.retry_failed)
     finally:
         if store is not None:
@@ -526,5 +437,4 @@ def run_matrix_campaign_parallel(
         retry = RetryPolicy(max_attempts=max_attempts)
     return merge_matrix_results(
         _map_shards(run_matrix_shard, shards, workers, start_method,
-                    retry=retry, respawn=_respawn_bump,
-                    rescue=_rescue_matrix_shard, sleeper=sleeper))
+                    retry=retry, sleeper=sleeper))

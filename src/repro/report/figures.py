@@ -24,9 +24,8 @@ def venn_regions(campaign: CampaignResult,
                  ) -> List[tuple]:
     """``("+".join(levels), count)`` pairs, largest region first.
 
-    The sort (count descending, then level combination) matches the
-    legacy ``format_venn`` output order, so every renderer and the
-    deprecation shim agree on row order.
+    The sort (count descending, then level combination) is the one row
+    order every renderer and :func:`format_venn_text` share.
     """
     regions = campaign.venn(exclude=exclude, conjecture=conjecture)
     return [("+".join(sorted(levels)), count)

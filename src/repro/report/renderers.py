@@ -8,11 +8,9 @@ Every deliverable renders through the same :class:`Renderer` protocol:
 * :class:`CsvRenderer` (``csv``) — RFC-4180 rows via :mod:`csv`, one
   ``# title`` comment line per table so multi-table files stay
   splittable;
-* :class:`TextRenderer` (``text``) — the fixed-width console format the
-  pre-report ``CampaignResult.format_table1``/``format_venn`` methods
-  emitted, kept byte-compatible so the deprecation shims and the
-  ``repro-campaign`` summary output did not change when the logic moved
-  here.
+* :class:`TextRenderer` (``text``) — the fixed-width console format of
+  the ``repro-campaign`` summary output (pinned byte for byte by the
+  golden files under ``tests/data``).
 
 Pick one with :func:`get_renderer` or go straight through
 :func:`render` / :func:`render_many`. All four are deterministic pure

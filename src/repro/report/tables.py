@@ -9,9 +9,9 @@ renderer from :mod:`repro.report.renderers`::
     campaign = load_artifact_file("campaign-gcc.json")
     print(render(table1(campaign), "md"))
 
-``format_table1_text``/``format_venn_text`` reproduce the exact
-fixed-width strings the deprecated ``CampaignResult.format_table1`` /
-``format_venn`` methods emitted — those methods now delegate here.
+``format_table1_text``/``format_venn_text`` are the fixed-width console
+strings ``repro-campaign`` prints (the ``text`` renderer over
+:func:`table1` / :func:`~repro.report.figures.venn_table`).
 """
 
 from __future__ import annotations

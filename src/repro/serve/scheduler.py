@@ -7,8 +7,9 @@ The scheduler owns three kinds of threads:
   pushed through the bounded unit window with *blocking* puts — a job
   of any size streams through a fixed-size window;
 * N **worker** threads pulling units off the window and evaluating them
-  with :func:`~repro.pipeline.campaign.run_campaign_seeds` against a
-  per-thread store connection — every finished seed is written through
+  with :func:`~repro.pipeline.campaign.run_campaign_seeds` (the 1x1
+  compile-once matrix: one lowering per seed, cloned per level) against
+  a per-thread store connection — every finished seed is written through
   (and replayed on retry/restart) by the store, so the scheduler itself
   holds no results;
 * one **monitor** thread watching per-worker heartbeats and per-job

@@ -41,7 +41,7 @@ from ..pipeline.campaign import (
 )
 from ..pipeline.parallel import (
     SHARDS_PER_WORKER, RetryPolicy, as_compiler_spec, build_cached,
-    default_workers, _map_shards, _open_store, _respawn_bump,
+    default_workers, _map_shards, _open_store,
 )
 from .findings import Finding
 from .verifier import verify_compilation
@@ -245,10 +245,11 @@ def run_verify_campaign_seeds(compiler: Compiler, seeds: SeedSpec,
     With a :class:`~repro.store.CampaignStore`, already-verified
     ``(seed, cell)`` pairs are loaded back instead of recompiled, and
     fresh ones are written through — the same resume contract as
-    :func:`~repro.pipeline.campaign.run_campaign_seeds`.  Evaluation
-    is fault-contained with the same boundary and knobs as the dynamic
-    driver (quarantined seeds become failure records instead of
-    aborting; ``KeyboardInterrupt`` flushes the store first).
+    :func:`~repro.pipeline.matrix.run_matrix_campaign_seeds`, the one
+    dynamic driver.  Evaluation is fault-contained with the same
+    boundary and knobs (quarantined seeds become failure records
+    instead of aborting; ``KeyboardInterrupt`` flushes the store
+    first).
     """
     levels = _resolve_levels(compiler, levels)
     result = VerifyCampaignResult(
@@ -350,36 +351,24 @@ class VerifyShard:
     crash_base: int = 0
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     retry_failed: bool = True
+    escalate_crashes: bool = True
 
 
 def run_verify_shard(shard: VerifyShard) -> VerifyCampaignResult:
     """Worker entry point: one shard on the memoized toolchain (writing
     through the shared WAL-mode store when the shard names one).
-    Injected worker death escalates for the supervisor."""
+    Injected worker death escalates for the supervisor, except in its
+    in-driver rescue run (see
+    :func:`~repro.pipeline.parallel._map_shards`)."""
     store = _open_store(shard.store_path)
     try:
         return run_verify_campaign_seeds(
             build_cached(shard.compiler), shard.seeds,
             levels=shard.levels, store=store, faults=shard.faults,
             max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base, escalate_crashes=True,
+            crash_base=shard.crash_base,
+            escalate_crashes=shard.escalate_crashes,
             retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _rescue_verify_shard(shard: VerifyShard, crashes: int,
-                         error: BaseException) -> VerifyCampaignResult:
-    """Re-run an abandoned shard in-driver under the serial boundary
-    (crash-heavy seeds quarantine, the rest verify normally)."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_verify_campaign_seeds(
-            build_cached(shard.compiler), shard.seeds,
-            levels=shard.levels, store=store, faults=shard.faults,
-            max_attempts=shard.max_attempts, crash_base=crashes,
-            escalate_crashes=False, retry_failed=shard.retry_failed)
     finally:
         if store is not None:
             store.close()
@@ -401,9 +390,9 @@ def run_verify_campaign_parallel(compiler, pool_size: int = 100,
 
     Bit-identical to :func:`run_verify_campaign` for the same
     arguments — including under a ``faults`` chaos plan, whose worker
-    deaths are supervised with bounded respawns exactly like the
-    dynamic campaign's (see
-    :func:`~repro.pipeline.parallel.run_campaign_parallel`).
+    deaths are supervised with bounded respawns and an in-driver rescue
+    by the same :func:`~repro.pipeline.parallel._map_shards` path as
+    every other sharded driver.
     ``workers <= 1`` runs the shards in-process.  ``store_path`` names
     a shared store file every worker writes through (and resumes from)
     with WAL-mode concurrent access.
@@ -429,5 +418,4 @@ def run_verify_campaign_parallel(compiler, pool_size: int = 100,
         retry = RetryPolicy(max_attempts=max_attempts)
     return merge_verify_results(
         _map_shards(run_verify_shard, shards, workers, start_method,
-                    retry=retry, respawn=_respawn_bump,
-                    rescue=_rescue_verify_shard, sleeper=sleeper))
+                    retry=retry, sleeper=sleeper))

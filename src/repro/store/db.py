@@ -288,17 +288,28 @@ class CampaignStore:
         self.busy_attempts = BUSY_MAX_ATTEMPTS
         self._busy_sleep = time.sleep
         try:
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA foreign_keys=ON")
-            with self._conn:
-                self._conn.executescript(_DDL)
-            self._check_schema()
+            self._initialize()
+        except StoreBusyError:
+            self._conn.close()
+            raise
         except sqlite3.DatabaseError as error:
             self._conn.close()
             raise StoreError(f"{self.path!r} is not a campaign store: "
                              f"{error}") from None
+
+    @_retries_busy
+    def _initialize(self) -> None:
+        """Connection pragmas and idempotent schema creation, retried
+        like a write: several threads opening one fresh store at once
+        (the service's worker, monitor and handler threads at start-up)
+        can meet ``database is locked`` here despite ``busy_timeout``."""
+        self._conn.execute("PRAGMA busy_timeout=30000")
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute("PRAGMA foreign_keys=ON")
+        with self._conn:
+            self._conn.executescript(_DDL)
+        self._check_schema()
 
     def _check_schema(self) -> None:
         row = self._conn.execute(

@@ -22,6 +22,7 @@ import pickle
 
 import pytest
 
+from repro.bisect import run_bisect_campaign, run_bisect_campaign_parallel
 from repro.compilers import Compiler, CompilerSpec
 from repro.debugger import DebuggerSpec, GdbLike
 from repro.faults import (
@@ -34,7 +35,8 @@ from repro.faults import (
 from repro.ir.interp import TimeoutError_
 from repro.pipeline import (
     CampaignResult, RetryPolicy, run_campaign, run_campaign_parallel,
-    run_matrix_campaign, run_reduction_campaign,
+    run_matrix_campaign, run_matrix_campaign_parallel,
+    run_reduction_campaign,
 )
 from repro.staticcheck import (
     run_verify_campaign, run_verify_campaign_parallel,
@@ -380,23 +382,69 @@ def test_hard_crash_supervision_completes():
     assert parallel == serial
 
 
-def test_persistent_crash_is_rescued_and_quarantined():
+def _campaign_rescue(plan, sleeper):
+    parallel = run_campaign_parallel(
+        CompilerSpec("gcc", "trunk"), DebuggerSpec("gdb-like"),
+        pool_size=4, workers=2, faults=plan, sleeper=sleeper)
+    serial = run_campaign(Compiler("gcc", "trunk"), GdbLike(),
+                          pool_size=4, faults=plan)
+    return parallel, serial, [p.seed for p in parallel.programs]
+
+
+def _matrix_rescue(plan, sleeper):
+    parallel = run_matrix_campaign_parallel(
+        compilers=[CompilerSpec("gcc", "trunk")], debuggers=["gdb-like"],
+        pool_size=4, workers=2, faults=plan, sleeper=sleeper)
+    serial = run_matrix_campaign(
+        compilers=[Compiler("gcc", "trunk")], debuggers=["gdb-like"],
+        pool_size=4, faults=plan)
+    cell = parallel.cell("gcc", "trunk", "gdb-like")
+    return parallel, serial, [p.seed for p in cell.programs]
+
+
+def _verify_rescue(plan, sleeper):
+    parallel = run_verify_campaign_parallel(
+        CompilerSpec("gcc", "trunk"), pool_size=4, levels=("O0", "O2"),
+        workers=2, faults=plan, sleeper=sleeper)
+    serial = run_verify_campaign(Compiler("gcc", "trunk"), pool_size=4,
+                                 levels=("O0", "O2"), faults=plan)
+    return parallel, serial, [p.seed for p in parallel.programs]
+
+
+def _bisect_rescue(plan, sleeper):
+    # Of the first 8 gcc seeds only 2 and 6 carry witnesses.
+    campaign = run_campaign(Compiler("gcc", "trunk"), GdbLike(),
+                            pool_size=8)
+    parallel = run_bisect_campaign_parallel(
+        campaign, workers=2, faults=plan, sleeper=sleeper)
+    serial = run_bisect_campaign(campaign, faults=plan)
+    return parallel, serial, sorted({r.seed for r in parallel.records})
+
+
+@pytest.mark.parametrize("driver,survivors", [
+    (_campaign_rescue, [0, 1, 3]),
+    (_matrix_rescue, [0, 1, 3]),
+    (_verify_rescue, [0, 1, 3]),
+    (_bisect_rescue, [6]),
+], ids=["campaign", "matrix", "verify", "bisect"])
+def test_persistent_crash_is_rescued_and_quarantined(driver, survivors):
     plan = FaultPlan(seed=7, specs=(
         FaultSpec(kind="crash", seeds=(2,), count=PERSISTENT),))
     delays = []
-    parallel = run_campaign_parallel(
-        CompilerSpec("gcc", "trunk"), DebuggerSpec("gdb-like"),
-        pool_size=4, workers=2, faults=plan, sleeper=delays.append)
-    assert [p.seed for p in parallel.programs] == [0, 1, 3]
-    (record,) = parallel.failures
-    assert (record.seed, record.stage, record.status) == \
-        (2, "worker", "quarantined")
-    assert record.attempts == DEFAULT_MAX_ATTEMPTS
+    parallel, serial, seeds = driver(plan, delays.append)
+    # the run completed: every seed but the crashing one evaluated
+    assert seeds == survivors
+    # one quarantine record per evaluated pair (per witness for bisect)
+    records = parallel.failures
+    assert records
+    assert len({(r.seed, r.item) for r in records}) == len(records)
+    for record in records:
+        assert (record.seed, record.stage, record.kind, record.status) \
+            == (2, "worker", "crash", "quarantined")
+        assert record.attempts == DEFAULT_MAX_ATTEMPTS
     # the supervisor backed off before each respawn
     assert delays and all(delay > 0.0 for delay in delays)
-    serial = run_campaign(Compiler("gcc", "trunk"), GdbLike(),
-                          pool_size=4, faults=plan)
-    assert parallel == serial
+    assert parallel.to_json() == serial.to_json()
 
 
 def test_retry_policy_backoff_is_deterministic_and_bounded():

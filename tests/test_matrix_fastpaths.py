@@ -11,8 +11,10 @@ the reference path**.
 * single-execution :func:`~repro.debugger.base.trace_all` vs one
   :meth:`~repro.debugger.base.Debugger.trace` per debugger;
 * :func:`~repro.pipeline.matrix.run_matrix_campaign` (and its sharded
-  variant) vs per-cell :func:`~repro.pipeline.campaign.run_campaign`
-  runs, ``to_json()``-identical over a 30-seed pool;
+  variant) vs the per-cell reference
+  :func:`~repro.pipeline.campaign.run_campaign_on_programs` (one
+  ``Compiler.compile`` per level), ``to_json()``-identical over a
+  30-seed pool;
 * the compile-once metrics study vs the per-cell serial study;
 * the :func:`~repro.fuzz.generator.generate_validated` LRU.
 """
@@ -28,7 +30,7 @@ from repro.fuzz import SeedSpec, generate_validated
 from repro.ir.clone import clone_module, module_fingerprint
 from repro.metrics import run_study_seeds
 from repro.pipeline import (
-    MatrixCampaignResult, run_campaign, run_matrix_campaign,
+    MatrixCampaignResult, run_campaign_on_programs, run_matrix_campaign,
     run_matrix_campaign_parallel, run_matrix_study,
 )
 from repro.pipeline.cli import main as campaign_cli
@@ -223,11 +225,14 @@ def test_session_o0_link_matches_compiler_o0(call_program):
 
 
 def test_matrix_campaign_bit_identical_to_per_cell_runs(matrix_30):
+    # The reference is independent of the matrix driver (run_campaign
+    # is the 1x1 matrix): one Compiler.compile per level, re-resolving
+    # and re-lowering every program each time.
+    programs = [generate_validated(seed) for seed in range(MATRIX_POOL)]
     for family in FAMILIES:
         for debugger_cls in DEBUGGERS:
-            per_cell = run_campaign(Compiler(family, "trunk"),
-                                    debugger_cls(),
-                                    pool_size=MATRIX_POOL)
+            per_cell = run_campaign_on_programs(
+                programs, Compiler(family, "trunk"), debugger_cls())
             cell = matrix_30.cell(family, "trunk", debugger_cls.name)
             assert cell.to_json() == per_cell.to_json(), \
                 (family, debugger_cls.name)

@@ -1,6 +1,6 @@
 """Golden-file and round-trip tests for the reporting subsystem.
 
-Three contracts:
+Two contracts:
 
 * **Golden rendering** — Markdown and CSV output over the stored
   ``repro-campaign/1`` fixture match ``tests/data/golden/`` byte for
@@ -10,8 +10,6 @@ Three contracts:
 * **CLI = library** — ``repro-report`` output is byte-identical to the
   corresponding library render, for stdout, ``-o`` files, and the
   ``all`` manifest tree.
-* **Shims** — the deprecated ``CampaignResult.format_*`` methods warn
-  and delegate to the report layer unchanged.
 """
 
 import hashlib
@@ -231,6 +229,12 @@ def test_venn_regions_order_and_conjecture_filter(campaign):
     assert venn_regions(campaign, conjecture="C3") == [("Og", 2)]
     empty = venn_table(campaign, exclude=tuple(campaign.levels))
     assert render(empty, "text") == "(no unique violations)"
+    # the fixed-width helpers are the text renderer over the same tables
+    assert format_table1_text(campaign) == render(table1(campaign), "text")
+    assert format_venn_text(campaign) == \
+        render(venn_table(campaign), "text")
+    assert format_venn_text(campaign, exclude=()) == \
+        render(venn_table(campaign, exclude=()), "text")
 
 
 # -- artifact sniffing --------------------------------------------------------
@@ -248,25 +252,6 @@ def test_load_artifact_dispatches_by_schema(campaign):
         load_artifact("{}")
     with pytest.raises(ValueError, match="not a repro artifact"):
         load_artifact("[1, 2]")
-
-
-# -- deprecation shims --------------------------------------------------------
-
-
-def test_format_table1_shim_warns_and_matches(campaign):
-    with pytest.deprecated_call():
-        legacy = campaign.format_table1()
-    assert legacy == format_table1_text(campaign)
-    assert legacy == render(table1(campaign), "text")
-
-
-def test_format_venn_shim_warns_and_matches(campaign):
-    with pytest.deprecated_call():
-        legacy = campaign.format_venn()
-    assert legacy == format_venn_text(campaign)
-    with pytest.deprecated_call():
-        no_exclude = campaign.format_venn(exclude=())
-    assert no_exclude == format_venn_text(campaign, exclude=())
 
 
 # -- CLI == library, byte for byte -------------------------------------------

@@ -207,6 +207,24 @@ def test_store_write_retries_through_lock_contention(tmp_path):
     store.close()
 
 
+def test_store_open_retries_through_lock_contention(tmp_path,
+                                                   monkeypatch):
+    checks = []
+    real_check = CampaignStore._check_schema
+
+    def contended_once(store):
+        checks.append(store.path)
+        if len(checks) == 1:
+            raise sqlite3.OperationalError("database is locked")
+        return real_check(store)
+
+    monkeypatch.setattr(CampaignStore, "_check_schema", contended_once)
+    store = CampaignStore(str(tmp_path / "busy.db"))
+    assert len(checks) == 2  # one contended open, one retry
+    assert store.put_job("aaaa", {"schema": "repro-job/1"}) is True
+    store.close()
+
+
 def test_store_gives_up_with_typed_error_after_the_budget(tmp_path):
     store = CampaignStore(str(tmp_path / "busy.db"))
     store.busy_attempts = 3
