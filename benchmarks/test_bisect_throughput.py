@@ -4,7 +4,7 @@ One timed pass per stage over one seed pool and one cell (gcc trunk x
 gdb-like): the *find* campaign that produces the witnesses, a *fresh*
 serial bisection of every witness (also populating a store file), and
 a store-backed *replay* of the same bisection (every witness a
-``bisections`` hit — zero probes, the regression table for free).
+``results`` hit — zero probes, the regression table for free).
 
 The quality bar here is probe amortization, not wall-clock: the
 prober memoizes verdicts by ``(module_fingerprint, version)``, so
@@ -50,13 +50,13 @@ def test_bisect_throughput(benchmark, tmp_path):
         started = time.perf_counter()
         with CampaignStore(path) as store:
             fresh = run_bisect_campaign(campaign, store=store)
-            stored = store.stats.bisections_stored
+            stored = store.stats.misses
         timings["bisect"] = time.perf_counter() - started
 
         started = time.perf_counter()
         with CampaignStore(path) as store:
             replay = run_bisect_campaign(campaign, store=store)
-            reused = store.stats.bisections_reused
+            reused = store.stats.hits
         timings["replay"] = time.perf_counter() - started
         return fresh, replay, stored, reused
 

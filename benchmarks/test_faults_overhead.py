@@ -72,7 +72,7 @@ def test_faults_overhead(benchmark, capsys, monkeypatch):
         for _ in range(ROUNDS):
             timed("contained")
             with monkeypatch.context() as patch:
-                patch.setattr("repro.pipeline.matrix.FailureBoundary",
+                patch.setattr("repro.pipeline.units.FailureBoundary",
                               PassThroughBoundary)
                 timed("bare")
         return results["contained"], results["bare"]

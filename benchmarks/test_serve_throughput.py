@@ -28,6 +28,7 @@ import time
 
 from repro.compilers.compiler import CompilerSpec
 from repro.debugger.specs import DebuggerSpec
+from repro.fuzz.generator import generate_validated
 from repro.pipeline.campaign import run_campaign
 from repro.serve import CampaignService, ServiceClient, build_server
 
@@ -98,6 +99,10 @@ def test_serve_throughput(benchmark, tmp_path):
             CompilerSpec(family="gcc", version="trunk").build(),
             DebuggerSpec(name="gdb-like").build(), pool_size=POOL)
         timings["serial"] = time.perf_counter() - started
+        # The service's worker threads share this process's program
+        # LRU, which the serial pass just warmed; clear it so the served
+        # pass regenerates its programs as a fresh service would.
+        generate_validated.cache_clear()
         served = _serve(store_path, serve_fresh)
         return serial, served
 

@@ -28,16 +28,13 @@ from .core import (
     BisectOutcome, ProbeVerdict, VersionProber, bisect_defect,
     expected_window, family_versions, pass_support,
 )
-from .parallel import (
-    BisectShard, run_bisect_campaign_parallel, run_bisect_shard,
-)
+from .parallel import run_bisect_campaign_parallel
 
 __all__ = [
     "BISECT_SCHEMA",
     "BisectCampaignResult",
     "BisectOutcome",
     "BisectRecord",
-    "BisectShard",
     "ProbeVerdict",
     "VersionProber",
     "bisect_defect",
@@ -47,6 +44,5 @@ __all__ = [
     "pass_support",
     "run_bisect_campaign",
     "run_bisect_campaign_parallel",
-    "run_bisect_shard",
     "witness_fingerprint",
 ]

@@ -9,8 +9,9 @@ backend-only and shared by all of the seed's witnesses and defects.  The
 outcomes aggregate into a :class:`BisectCampaignResult` — the
 ``repro-bisect/1`` artifact, mergeable shard-wise like every other
 campaign result, renderable by ``repro-report bisect``, and resumable
-through the store's ``bisections`` table (keyed by witness fingerprint,
-so a resumed run replays finished witnesses with zero recompiles).
+through the store's ``results`` table (each witness's row is keyed by
+its witness fingerprint, so a resumed run replays finished witnesses
+with zero recompiles).
 
 Determinism contract: every recorded value — windows, per-record probe
 counts, and the ``consults``/``probes``/``memo_hits`` accounting — is
@@ -23,21 +24,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bugs.catalog import defects_for_family
-from ..faults.boundary import DEFAULT_MAX_ATTEMPTS, FailureBoundary
+from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..faults.records import (
     FailureRecord, failures_from_dicts, failures_to_dicts,
     merge_failures,
 )
 from ..pipeline.campaign import (
-    CampaignResult, fold_results, missing_field_error, persist_failure,
-    stored_failure,
+    CampaignResult, fold_results, missing_field_error,
 )
-from ..pipeline.reduction import iter_witnesses
+from ..pipeline.reduction import witness_units
+from ..pipeline.units import Cell, Unit, Workload, payload_stats, run_units
 from .core import (
     BisectOutcome, VersionProber, bisect_defect, family_versions,
     pass_support,
@@ -356,6 +357,101 @@ def _bisect_witness(scope: _WitnessScope, family: str, seed: int,
     return records
 
 
+def bisect_workload(campaign: CampaignResult, limit: Optional[int] = None,
+                    discover: bool = True,
+                    defects: Iterable[str] = ()) -> Workload:
+    """Bisection as :func:`~repro.pipeline.units.run_units` work: one
+    unit per witness (:func:`~repro.pipeline.reduction.iter_witnesses`
+    order, at most ``limit``), one ``family-version`` cell.
+
+    With a store, each unit's row key is its
+    :func:`witness_fingerprint`, so a generator change invalidates the
+    stored bisection instead of silently replaying a stale one.
+    """
+    family, version = campaign.family, campaign.version
+    versions = family_versions(family)
+    if version not in versions:
+        raise ValueError(
+            f"campaign version {version!r} is not on the {family} "
+            f"version axis {versions}")
+    anchor = versions.index(version)
+    requested = tuple(defects)
+    catalog = {d.defect_id: d for d in defects_for_family(family)}
+    unknown = [d for d in requested if d not in catalog]
+    if unknown:
+        raise ValueError(f"unknown {family} defect ids: "
+                         f"{', '.join(unknown)}")
+    programs = {p.seed: p for p in campaign.programs}
+    name = f"{family}-{version}"
+    cell = Cell(name, BISECT_SCHEMA, family, version)
+    probers: Dict[int, VersionProber] = {}
+
+    def prober_for(seed: int) -> VersionProber:
+        # One prober per seed: witnesses of a seed are enumerated
+        # contiguously, so only the current seed's cache is kept.
+        if seed not in probers:
+            probers.clear()
+            probers[seed] = VersionProber(family, seed)
+        return probers[seed]
+
+    def units(store) -> Iterable[Unit]:
+        for unit in witness_units(campaign, limit):
+            if store is not None:
+                level, violation = unit.subject
+                module_fp = store.module_fingerprint(unit.seed)
+                if module_fp is None:
+                    module_fp = prober_for(unit.seed).fingerprint
+                    store.record_module_fingerprint(unit.seed, module_fp)
+                unit = replace(unit, key=witness_fingerprint(
+                    module_fp, level, violation.conjecture,
+                    violation.variable))
+            yield unit
+
+    def evaluate(probe, unit, live):
+        level, violation = unit.subject
+        probe("generate")
+        prober = prober_for(unit.seed)
+        prober.session.program  # frontend, under "generate"
+        probe("compile")
+        scope = _WitnessScope(prober, level)
+        records = _bisect_witness(
+            scope, family, unit.seed, level, violation.conjecture,
+            violation.variable, anchor,
+            programs[unit.seed].fired.get(level, ()), requested,
+            discover, catalog)
+        return None, {cell: {
+            "witness": {
+                "seed": unit.seed, "level": level,
+                "conjecture": violation.conjecture,
+                "variable": violation.variable,
+            },
+            "records": [r.to_dict() for r in records],
+            # Each witness carries its own probe-accounting slice (see
+            # payload_stats).
+            "stats": scope.stats(),
+        }}
+
+    def result(outcome, store) -> BisectCampaignResult:
+        payloads = outcome.payloads[cell]
+        if store is not None:
+            run = store.run_id(BISECT_SCHEMA, family, version, ())
+            store.set_run_attrs(run, pool_size=campaign.pool_size)
+        return BisectCampaignResult(
+            family=family, version=version, pool_size=campaign.pool_size,
+            records=bisect_records(payloads),
+            stats=payload_stats(payloads),
+            failures=outcome.failures[cell])
+
+    return Workload(name, [cell], units, evaluate, result)
+
+
+def bisect_records(payloads: Iterable[Dict[str, object]]
+                   ) -> List[BisectRecord]:
+    """Every record of the stored witness payloads, in payload order."""
+    return [BisectRecord.from_dict(record) for payload in payloads
+            for record in payload["records"]]
+
+
 def run_bisect_campaign(campaign: CampaignResult,
                         limit: Optional[int] = None,
                         discover: bool = True,
@@ -363,8 +459,6 @@ def run_bisect_campaign(campaign: CampaignResult,
                         store=None,
                         faults: Optional[FaultPlan] = None,
                         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                        crash_base: int = 0,
-                        escalate_crashes: bool = False,
                         retry_failed: bool = True
                         ) -> BisectCampaignResult:
     """Bisect every witness of ``campaign`` over the version axis.
@@ -384,121 +478,8 @@ def run_bisect_campaign(campaign: CampaignResult,
     recompiles.  Each witness is fault-contained independently;
     ``KeyboardInterrupt`` flushes the store before propagating.
     """
-    family, version = campaign.family, campaign.version
-    versions = family_versions(family)
-    if version not in versions:
-        raise ValueError(
-            f"campaign version {version!r} is not on the {family} "
-            f"version axis {versions}")
-    anchor = versions.index(version)
-    requested = tuple(defects)
-    catalog = {d.defect_id: d for d in defects_for_family(family)}
-    unknown = [d for d in requested if d not in catalog]
-    if unknown:
-        raise ValueError(f"unknown {family} defect ids: "
-                         f"{', '.join(unknown)}")
-    result = BisectCampaignResult(family=family, version=version,
-                                  pool_size=campaign.pool_size)
-    run = None
-    if store is not None:
-        run = store.run_id(BISECT_SCHEMA, family, version, ())
-    cell = f"{family}-{version}"
-    boundary = FailureBoundary(cell, faults=faults,
-                               max_attempts=max_attempts,
-                               crash_base=crash_base,
-                               escalate_crashes=escalate_crashes)
-    totals: Dict[str, int] = {}
-    probers: Dict[int, VersionProber] = {}
-
-    def prober_for(seed: int) -> VersionProber:
-        # One prober per seed: witnesses of a seed are enumerated
-        # contiguously, so only the current seed's cache is kept.
-        if seed not in probers:
-            probers.clear()
-            probers[seed] = VersionProber(family, seed)
-        return probers[seed]
-
-    try:
-        for count, (seed, level, violation) in enumerate(
-                iter_witnesses(campaign)):
-            if limit is not None and count >= limit:
-                break
-            item = f"{level}/{violation.conjecture}/{violation.variable}"
-            fingerprint = None
-            if run is not None:
-                module_fp = store.module_fingerprint(seed)
-                if module_fp is None:
-                    module_fp = prober_for(seed).fingerprint
-                    store.record_module_fingerprint(seed, module_fp)
-                fingerprint = witness_fingerprint(
-                    module_fp, level, violation.conjecture,
-                    violation.variable)
-                stored = store.get_bisection(run, fingerprint)
-                if stored is not None:
-                    for key, value in stored["stats"].items():
-                        totals[key] = totals.get(key, 0) + value
-                    result.records.extend(
-                        BisectRecord.from_dict(r)
-                        for r in stored["records"])
-                    continue
-                if not retry_failed:
-                    prior = stored_failure(store, run, seed, item)
-                    if prior is not None:
-                        result.failures.append(prior)
-                        continue
-            program_result = next(p for p in campaign.programs
-                                  if p.seed == seed)
-
-            def compute(probe, seed=seed, level=level,
-                        violation=violation,
-                        program_result=program_result):
-                probe("generate")
-                prober = prober_for(seed)
-                prober.session.program  # frontend, under "generate"
-                probe("compile")
-                scope = _WitnessScope(prober, level)
-                records = _bisect_witness(
-                    scope, family, seed, level, violation.conjecture,
-                    violation.variable, anchor,
-                    program_result.fired.get(level, ()), requested,
-                    discover, catalog)
-                return records, scope.stats()
-            value, failure = boundary.evaluate(seed, compute, item=item)
-            if value is None:
-                if run is not None:
-                    persist_failure(store, run, failure)
-                continue
-            records, share = value
-            result.records.extend(records)
-            for key, stat in share.items():
-                totals[key] = totals.get(key, 0) + stat
-            if run is not None:
-                payload = {
-                    "witness": {
-                        "seed": seed, "level": level,
-                        "conjecture": violation.conjecture,
-                        "variable": violation.variable,
-                    },
-                    "records": [r.to_dict() for r in records],
-                    # Each witness carries its own probe-accounting
-                    # slice so a resumed run reassembles the exact
-                    # aggregate (int sums are order-independent).
-                    "stats": share,
-                }
-
-                def write(fingerprint=fingerprint, seed=seed,
-                          count=count, payload=payload):
-                    store.put_bisection(run, fingerprint, seed, count,
-                                        payload)
-                if boundary.store_write(seed, write, item=item):
-                    store.clear_failure(run, seed, item)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.checkpoint()
-        raise
-    result.stats = totals
-    result.failures = merge_failures(result.failures,
-                                     boundary.failures)
-    if run is not None:
-        store.set_run_attrs(run, pool_size=campaign.pool_size)
-    return result
+    return run_units(
+        bisect_workload(campaign, limit=limit, discover=discover,
+                        defects=defects),
+        store=store, faults=faults, max_attempts=max_attempts,
+        retry_failed=retry_failed)

@@ -27,9 +27,10 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from ..debugger import NATIVE_DEBUGGERS
 from ..pipeline.cli import (
-    _fault_options, _open_cli_store, _print_failures,
-    add_common_driver_args, default_workers,
+    _fault_options, _finish, _run_campaign, _run_driver, _write_json,
+    add_common_driver_args, add_toolchain_args, resolve_workers,
 )
 from .campaign import run_bisect_campaign
 from .parallel import run_bisect_campaign_parallel
@@ -44,20 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="repro-campaign/1 artifact JSON path "
                              "(omit to run the campaign here with "
                              "--pool-size)")
-    parser.add_argument("--family", choices=("gcc", "clang"),
-                        default="gcc",
-                        help="compiler family (find mode)")
-    parser.add_argument("--version", default="trunk",
-                        help="anchor compiler version (find mode; "
-                             "default: trunk)")
-    parser.add_argument("--pool-size", type=int, default=None,
-                        help="find mode: generate and test this many "
-                             "programs first, then bisect")
-    parser.add_argument("--seed-base", type=int, default=0,
-                        help="first seed of the find-mode range")
-    parser.add_argument("--levels", nargs="+", metavar="LEVEL",
-                        help="find-mode optimization levels (default: "
-                             "every optimized level of the family)")
+    add_toolchain_args(
+        parser, family_help="compiler family (find mode)",
+        version_help="anchor compiler version (find mode; default: "
+                     "trunk)",
+        pool_size=None,
+        pool_help="find mode: generate and test this many programs "
+                  "first, then bisect",
+        seed_help="first seed of the find-mode range",
+        levels_help="find-mode optimization levels (default: every "
+                    "optimized level of the family)")
     parser.add_argument("--limit", type=int, default=None, metavar="N",
                         help="bisect at most N witnesses (forces the "
                              "serial driver)")
@@ -68,14 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-discover", action="store_true",
                         help="bisect only the campaign's fired defects "
                              "(skip defects seen firing during probes)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: CPU count; "
-                             "1 = in-process)")
-    parser.add_argument("--serial", action="store_true",
-                        help="force the serial driver (ignores --workers)")
-    parser.add_argument("--start-method", default="spawn",
-                        choices=("spawn", "fork", "forkserver"),
-                        help="multiprocessing start method")
     parser.add_argument("--output", metavar="PATH",
                         help="write the repro-bisect/1 artifact here")
     parser.add_argument("--campaign-output", metavar="PATH",
@@ -90,34 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the summary table")
     return parser
-
-
-def _find_campaign(parser: argparse.ArgumentParser, args,
-                   workers: int, fault_options: dict):
-    """Find mode: run the campaign this process, sharing the store,
-    fault plan, and worker fleet the bisection will use."""
-    from ..compilers.compiler import CompilerSpec
-    from ..debugger import NATIVE_DEBUGGERS
-    from ..debugger.specs import DebuggerSpec
-    from ..pipeline.campaign import run_campaign
-    from ..pipeline.parallel import run_campaign_parallel
-    compiler = CompilerSpec(family=args.family, version=args.version)
-    debugger = DebuggerSpec(name=NATIVE_DEBUGGERS[args.family].name)
-    if args.serial or workers <= 1:
-        store = _open_cli_store(args.store)
-        try:
-            return run_campaign(
-                compiler.build(), debugger.build(),
-                pool_size=args.pool_size, seed_base=args.seed_base,
-                levels=args.levels, store=store, **fault_options)
-        finally:
-            if store is not None:
-                store.close()
-    return run_campaign_parallel(
-        compiler, debugger, pool_size=args.pool_size,
-        seed_base=args.seed_base, levels=args.levels, workers=workers,
-        start_method=args.start_method, store_path=args.store,
-        **fault_options)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -137,10 +98,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if args.artifact is not None and args.pool_size is not None:
         parser.error("--pool-size runs the campaign here; it cannot "
                      "be combined with an artifact path")
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    workers = 1 if args.serial else (
-        args.workers if args.workers is not None else default_workers())
+    workers = resolve_workers(parser, args)
     fault_options = _fault_options(parser, args)
 
     if args.artifact is not None:
@@ -155,40 +113,25 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
                          f"repro-campaign/1 artifact, got "
                          f"{type(campaign).__name__}")
     else:
-        campaign = _find_campaign(parser, args, workers, fault_options)
-        if args.campaign_output:
-            with open(args.campaign_output, "w",
-                      encoding="utf-8") as handle:
-                handle.write(campaign.to_json(indent=args.indent))
-                handle.write("\n")
+        # Find mode: the campaign runs here, sharing the store, fault
+        # plan and worker fleet the bisection will use.
+        campaign = _run_campaign(
+            args, NATIVE_DEBUGGERS[args.family].name, workers,
+            args.serial or workers <= 1, fault_options)
+        _write_json(args.campaign_output, campaign, args.indent)
 
     started = time.perf_counter()
     try:
-        if args.serial or workers <= 1 or args.limit is not None:
-            store = _open_cli_store(args.store)
-            try:
-                result = run_bisect_campaign(
-                    campaign, limit=args.limit,
-                    discover=not args.no_discover,
-                    defects=tuple(args.defect), store=store,
-                    **fault_options)
-            finally:
-                if store is not None:
-                    store.close()
-        else:
-            result = run_bisect_campaign_parallel(
-                campaign, discover=not args.no_discover,
-                defects=tuple(args.defect), workers=workers,
-                start_method=args.start_method, store_path=args.store,
-                **fault_options)
+        result = _run_driver(
+            args, args.serial or workers <= 1 or args.limit is not None,
+            workers, (run_bisect_campaign, run_bisect_campaign_parallel),
+            campaign, limit=args.limit, discover=not args.no_discover,
+            defects=tuple(args.defect), **fault_options)
     except ValueError as error:
         parser.error(str(error))
     elapsed = time.perf_counter() - started
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=args.indent))
-            handle.write("\n")
+    _write_json(args.output, result, args.indent)
 
     if not args.quiet:
         from ..report import bisect_table, render
@@ -203,17 +146,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         if result.records:
             print()
             print(render(bisect_table(result), "text"))
-        if args.output:
-            print()
-            print(f"artifact written to {args.output}")
-    _print_failures(result, args.quiet)
-    if args.report:
-        from ..report.manifest import render_all
-        from ..report.renderers import DEFAULT_FORMATS
-        render_all([result], args.report, formats=DEFAULT_FORMATS)
-        if not args.quiet:
-            print(f"report written to {args.report}/manifest.json")
-    return 0
+    return _finish(result, args)
 
 
 if __name__ == "__main__":

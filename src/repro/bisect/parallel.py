@@ -3,77 +3,48 @@
 Bisection work units are witnesses, and witnesses of one seed share a
 prober cache — so shards are contiguous *program slices* of the input
 campaign (never splitting a seed), serialized as ``repro-campaign/1``
-JSON so a :class:`BisectShard` is fully picklable across the spawn
-boundary.  Workers run the serial driver per slice; the merged result
-is bit-identical to one serial run because every recorded value is a
+JSON so the slice travels in a picklable
+:class:`~repro.pipeline.parallel.UnitShard` like every other driver's
+work.  Each worker runs the one unit loop
+(:func:`~repro.pipeline.units.run_units`) over its slice's
+:func:`~repro.bisect.campaign.bisect_workload`; the merged result is
+bit-identical to one serial run because every recorded value is a
 function of the witness alone (see :mod:`repro.bisect.campaign`).
-Supervision is :func:`~repro.pipeline.parallel._map_shards`'s one
-path for every sharded driver: a :class:`BisectShard` carries
-``crash_base`` and ``escalate_crashes``, so a dying worker's shard
-respawns with its death count and, past the retry bound, the same
-worker entry point re-runs it in the driver with crash escalation off.
+Supervision — respawn with the death count, then an in-driver rescue
+with crash escalation off — is the same
+:func:`~repro.pipeline.parallel.map_unit_shards` path as the matrix
+and verify drivers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..pipeline.campaign import CampaignResult
-from ..pipeline.parallel import (
-    SHARDS_PER_WORKER, RetryPolicy, _map_shards, _open_store,
-    default_workers,
-)
+from ..pipeline.parallel import RetryPolicy, map_unit_shards, open_store
+from ..pipeline.units import Workload
 from .campaign import (
-    BISECT_SCHEMA, BisectCampaignResult, merge_bisect_results,
-    run_bisect_campaign,
+    BISECT_SCHEMA, BisectCampaignResult, bisect_workload,
+    merge_bisect_results, run_bisect_campaign,
 )
 
 
-@dataclass(frozen=True)
-class BisectShard:
-    """One worker's unit of bisection work (fully picklable).
-
-    ``campaign_json`` is the shard's program slice as a complete
-    ``repro-campaign/1`` document — sliced at seed boundaries, so the
-    per-seed prober cache never straddles workers.
-    """
-
-    campaign_json: str
-    discover: bool = True
-    defects: Tuple[str, ...] = ()
-    store_path: Optional[str] = None
-    faults: Optional[FaultPlan] = None
-    crash_base: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    retry_failed: bool = True
-    escalate_crashes: bool = True
-
-
-def run_bisect_shard(shard: BisectShard) -> BisectCampaignResult:
-    """Worker entry point: the serial driver over one program slice
-    (writing through the shared WAL-mode store when the shard names
-    one).  Injected worker death escalates for the supervisor, except
-    in its in-driver rescue run."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_bisect_campaign(
-            CampaignResult.from_json(shard.campaign_json),
-            discover=shard.discover, defects=shard.defects, store=store,
-            faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base,
-            escalate_crashes=shard.escalate_crashes,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
+def _slice_workload(campaign_json: str, discover: bool,
+                    defects: Tuple[str, ...]) -> Workload:
+    """A shard's :class:`~repro.pipeline.parallel.UnitShard` builder:
+    the bisection of one program slice (a ``repro-campaign/1``
+    document, sliced at seed boundaries so the per-seed prober cache
+    never straddles workers)."""
+    return bisect_workload(CampaignResult.from_json(campaign_json),
+                           discover=discover, defects=defects)
 
 
 def _program_slices(campaign: CampaignResult, n_shards: int
                     ) -> List[CampaignResult]:
-    """Contiguous program slices as self-contained sub-campaigns.
+    """At most ``n_shards`` contiguous program slices (at least one,
+    possibly empty) as self-contained sub-campaigns.
 
     Each slice's ``pool_size`` is its program count (the merged sum is
     overridden with the input campaign's afterwards — quarantined seeds
@@ -81,6 +52,7 @@ def _program_slices(campaign: CampaignResult, n_shards: int
     stay behind, since bisection results carry only bisection failures.
     """
     programs = campaign.programs
+    n_shards = max(1, min(len(programs), n_shards))
     base, extra = divmod(len(programs), n_shards)
     slices = []
     start = 0
@@ -119,45 +91,25 @@ def run_bisect_campaign_parallel(
     with WAL-mode concurrent access.
     """
     if limit is not None:
-        store = _open_store(store_path)
-        try:
+        with open_store(store_path) as store:
             return run_bisect_campaign(
                 campaign, limit=limit, discover=discover,
                 defects=defects, store=store, faults=faults,
                 max_attempts=max_attempts, retry_failed=retry_failed)
-        finally:
-            if store is not None:
-                store.close()
-    if workers is None:
-        workers = default_workers()
-    if not campaign.programs:
-        return BisectCampaignResult(family=campaign.family,
-                                    version=campaign.version,
-                                    pool_size=campaign.pool_size)
-    n_shards = min(len(campaign.programs),
-                   max(1, workers) * SHARDS_PER_WORKER)
-    shards = [
-        BisectShard(campaign_json=part.to_json(), discover=discover,
-                    defects=tuple(defects), store_path=store_path,
-                    faults=faults, max_attempts=max_attempts,
-                    retry_failed=retry_failed)
-        for part in _program_slices(campaign, n_shards)
-    ]
-    if retry is None:
-        retry = RetryPolicy(max_attempts=max_attempts)
-    merged = merge_bisect_results(
-        _map_shards(run_bisect_shard, shards, workers, start_method,
-                    retry=retry, sleeper=sleeper))
+    merged = merge_bisect_results(map_unit_shards(
+        _slice_workload,
+        lambda n: [(part.to_json(), discover, tuple(defects))
+                   for part in _program_slices(campaign, n)],
+        workers, start_method, store_path=store_path, faults=faults,
+        max_attempts=max_attempts, retry_failed=retry_failed,
+        retry=retry, sleeper=sleeper))
     # Slice pool sizes sum to the evaluated program count; the artifact
     # reports the campaign's nominal pool (quarantined seeds included),
     # exactly as the serial driver does.
     merged.pool_size = campaign.pool_size
     if store_path is not None:
-        store = _open_store(store_path)
-        try:
+        with open_store(store_path) as store:
             run = store.run_id(BISECT_SCHEMA, campaign.family,
                                campaign.version, ())
             store.set_run_attrs(run, pool_size=campaign.pool_size)
-        finally:
-            store.close()
     return merged

@@ -11,9 +11,9 @@ from .matrix import (
     run_matrix_campaign, run_matrix_campaign_seeds, run_matrix_study,
 )
 from .parallel import (
-    MatrixShard, RetryPolicy, StudyShard, run_campaign_parallel,
-    run_matrix_campaign_parallel, run_matrix_shard, run_study_parallel,
-    run_study_shard,
+    RetryPolicy, StudyShard, UnitShard, run_campaign_parallel,
+    run_matrix_campaign_parallel, run_study_parallel, run_study_shard,
+    run_unit_shard,
 )
 from .reduction import (
     REDUCE_SCHEMA, ReductionCampaignResult, ReductionRecord,

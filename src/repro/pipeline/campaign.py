@@ -357,34 +357,6 @@ def test_program(program: Program, compiler: Compiler,
                              facts)[0]
 
 
-def persist_failure(store, run: int, record: FailureRecord) -> None:
-    """Best-effort write of a quarantine record to the store so resume
-    knows which pairs to retry.  Store errors are swallowed on purpose:
-    the record is already in the artifact, and a store too broken to
-    record failures must not break graceful degradation."""
-    try:
-        store.put_failure(run, record.seed, record.item,
-                          record.to_dict())
-    except Exception:
-        return
-
-
-def stored_failure(store, run: int, seed: int, item: str = ""
-                   ) -> Optional[FailureRecord]:
-    """The quarantine record a previous run left for this pair, if
-    any (best-effort, like :func:`persist_failure`)."""
-    try:
-        payload = store.get_failure(run, seed, item)
-    except Exception:
-        return None
-    if payload is None:
-        return None
-    try:
-        return FailureRecord.from_dict(payload)
-    except ValueError:
-        return None
-
-
 def run_campaign_seeds(compiler: Compiler, debugger: Debugger,
                        seeds: SeedSpec,
                        levels: Optional[Sequence[str]] = None,
@@ -415,7 +387,6 @@ def run_campaign_seeds(compiler: Compiler, debugger: Debugger,
         faults=faults, max_attempts=max_attempts,
         retry_failed=retry_failed)
     (cell,) = matrix.cells.values()
-    cell.failures = merge_failures(cell.failures, ())
     return cell
 
 

@@ -29,7 +29,8 @@ from ..debugger.specs import DEBUGGER_REGISTRY, DebuggerSpec
 from .campaign import run_campaign
 from .matrix import run_matrix_campaign
 from .parallel import (
-    default_workers, run_campaign_parallel, run_matrix_campaign_parallel,
+    default_workers, open_store, run_campaign_parallel,
+    run_matrix_campaign_parallel,
 )
 
 
@@ -54,35 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-campaign",
         description="Run a conjecture-violation campaign (Table 1 / "
                     "Figures 2-4) and write a JSON artifact.")
-    parser.add_argument("--family", choices=("gcc", "clang"),
-                        default="gcc", help="compiler family")
+    add_toolchain_args(parser)
     parser.add_argument("--families", type=_parse_families,
                         metavar="FAM[,FAM]",
                         help="run the compile-once evaluation matrix "
                              "over these families (e.g. gcc,clang) x "
                              "every level x both debuggers; overrides "
                              "--family/--debugger")
-    parser.add_argument("--version", default="trunk",
-                        help="compiler version (default: trunk)")
     parser.add_argument("--debugger", default="auto",
                         choices=("auto",) + tuple(sorted(DEBUGGER_REGISTRY)),
                         help="debugger; 'auto' picks the family's native "
                              "one (gdb-like for gcc, lldb-like for clang)")
-    parser.add_argument("--pool-size", type=int, default=100,
-                        help="number of generated programs")
-    parser.add_argument("--seed-base", type=int, default=0,
-                        help="first seed of the campaign range")
-    parser.add_argument("--levels", nargs="+", metavar="LEVEL",
-                        help="optimization levels (default: every "
-                             "optimized level of the family)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: CPU count; "
-                             "1 = in-process)")
-    parser.add_argument("--serial", action="store_true",
-                        help="force the serial driver (ignores --workers)")
-    parser.add_argument("--start-method", default="spawn",
-                        choices=("spawn", "fork", "forkserver"),
-                        help="multiprocessing start method")
     parser.add_argument("--output", metavar="PATH",
                         help="write the campaign artifact JSON here")
     add_common_driver_args(parser)
@@ -101,6 +84,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def add_toolchain_args(
+        parser: argparse.ArgumentParser,
+        family_help: str = "compiler family",
+        version_help: str = "compiler version (default: trunk)",
+        pool_size: Optional[int] = 100,
+        pool_help: str = "number of generated programs",
+        seed_help: str = "first seed of the campaign range",
+        levels_help: str = "optimization levels (default: every "
+                           "optimized level of the family)") -> None:
+    """The ``--family``/``--version``/``--pool-size``/``--seed-base``/
+    ``--levels`` and ``--workers``/``--serial``/``--start-method`` group
+    the seed-range driver CLIs share (campaign, verify, bisect); the
+    defaults and help texts that differ are parameters.  Resolve the
+    worker count with :func:`resolve_workers`."""
+    parser.add_argument("--family", choices=("gcc", "clang"),
+                        default="gcc", help=family_help)
+    parser.add_argument("--version", default="trunk", help=version_help)
+    parser.add_argument("--pool-size", type=int, default=pool_size,
+                        help=pool_help)
+    parser.add_argument("--seed-base", type=int, default=0,
+                        help=seed_help)
+    parser.add_argument("--levels", nargs="+", metavar="LEVEL",
+                        help=levels_help)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: CPU count; "
+                             "1 = in-process)")
+    parser.add_argument("--serial", action="store_true",
+                        help="force the serial driver (ignores --workers)")
+    parser.add_argument("--start-method", default="spawn",
+                        choices=("spawn", "fork", "forkserver"),
+                        help="multiprocessing start method")
+
+
+def resolve_workers(parser: argparse.ArgumentParser, args) -> int:
+    """The worker count :func:`add_toolchain_args` options ask for: 1
+    under ``--serial``, else ``--workers`` (which must be >= 1), else
+    the CPU count."""
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.serial:
+        return 1
+    return args.workers if args.workers is not None else default_workers()
+
+
 def add_common_driver_args(parser: argparse.ArgumentParser,
                            unit: str = "seed",
                            sharded: bool = True) -> None:
@@ -111,7 +138,7 @@ def add_common_driver_args(parser: argparse.ArgumentParser,
     drivers also spend the attempt budget on crashed-shard respawns.
     """
     parser.add_argument("--store", metavar="PATH",
-                        help=f"persistent campaign store (repro-db/1 "
+                        help=f"persistent campaign store (repro-db/2 "
                              f"sqlite file): finished {unit}s are "
                              f"written through and replayed on the "
                              f"next run, so an interrupted or extended "
@@ -137,14 +164,37 @@ def _parse_formats_csv(text: str):
     return _parse_formats(text)
 
 
-def _open_cli_store(path: Optional[str]):
-    """Open the ``--store`` file for a serial run (``None`` stays
-    ``None``); the parallel drivers take the path itself and open one
-    connection per worker instead."""
-    if path is None:
-        return None
-    from ..store import CampaignStore
-    return CampaignStore(path)
+def _run_driver(args, serial: bool, workers: int, drivers, *inputs,
+                **options):
+    """Run a driver CLI's job with the ``(serial, sharded)`` pair in
+    ``drivers``: the serial driver over the open ``--store``, or the
+    sharded one over its path with ``workers`` and ``--start-method``."""
+    serial_driver, sharded_driver = drivers
+    if serial:
+        with open_store(args.store) as store:
+            return serial_driver(*inputs, store=store, **options)
+    return sharded_driver(*inputs, workers=workers,
+                          start_method=args.start_method,
+                          store_path=args.store, **options)
+
+
+def _run_campaign(args, debugger: str, workers: int, serial: bool,
+                  fault_options: dict):
+    """The single-cell campaign :func:`add_toolchain_args` options ask
+    for, through :func:`_run_driver`."""
+    return _run_driver(
+        args, serial, workers, (run_campaign, run_campaign_parallel),
+        CompilerSpec(family=args.family, version=args.version).build(),
+        DebuggerSpec(name=debugger).build(), pool_size=args.pool_size,
+        seed_base=args.seed_base, levels=args.levels, **fault_options)
+
+
+def _write_json(path: Optional[str], result, indent: int) -> None:
+    """Write ``result``'s artifact JSON to ``path`` (when one is given)."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(result.to_json(indent=indent))
+            handle.write("\n")
 
 
 def _fault_options(parser: argparse.ArgumentParser, args) -> dict:
@@ -168,25 +218,29 @@ def _fault_options(parser: argparse.ArgumentParser, args) -> dict:
     }
 
 
-def _print_failures(result, quiet: bool) -> None:
-    """One warning line when a run degraded gracefully."""
+def _finish(result, args, formats=None) -> int:
+    """The tail every driver CLI shares: the artifact notice, one
+    warning line when the run degraded gracefully, and ``--report DIR``
+    in ``formats`` (default: md, html and csv).  Returns the exit code."""
     failures = result.failures
-    if failures and not quiet:
-        quarantined = sum(1 for record in failures
-                          if record.status == "quarantined")
-        print(f"failures: {len(failures)} recorded "
-              f"({quarantined} quarantined) — render with "
-              f"'repro-report failures'")
-
-
-def _write_report(result, args) -> None:
-    """Materialize the deliverables of a finished run (--report DIR)."""
-    from ..report.manifest import render_all
-    from ..report.renderers import DEFAULT_FORMATS
-    render_all([result], args.report,
-               formats=args.report_formats or DEFAULT_FORMATS)
     if not args.quiet:
-        print(f"report written to {args.report}/manifest.json")
+        if args.output:
+            print()
+            print(f"artifact written to {args.output}")
+        if failures:
+            quarantined = sum(1 for record in failures
+                              if record.status == "quarantined")
+            print(f"failures: {len(failures)} recorded "
+                  f"({quarantined} quarantined) — render with "
+                  f"'repro-report failures'")
+    if args.report:
+        from ..report.manifest import render_all
+        from ..report.renderers import DEFAULT_FORMATS
+        render_all([result], args.report,
+                   formats=formats or DEFAULT_FORMATS)
+        if not args.quiet:
+            print(f"report written to {args.report}/manifest.json")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -200,117 +254,50 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    workers = resolve_workers(parser, args)
+    fault_options = _fault_options(parser, args)
+    mode = "serial" if args.serial or workers <= 1 else \
+        f"{workers} workers"
+    started = time.perf_counter()
     if args.families:
-        return _run_matrix(parser, args)
-    compiler = CompilerSpec(family=args.family, version=args.version)
-    debugger_name = args.debugger
-    if debugger_name == "auto":
-        debugger_name = NATIVE_DEBUGGERS[args.family].name
-    debugger = DebuggerSpec(name=debugger_name)
-
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    workers = 1 if args.serial else (
-        args.workers if args.workers is not None else default_workers())
-    fault_options = _fault_options(parser, args)
-    started = time.perf_counter()
-    if args.serial:
-        store = _open_cli_store(args.store)
-        try:
-            result = run_campaign(
-                compiler.build(), debugger.build(),
-                pool_size=args.pool_size, seed_base=args.seed_base,
-                levels=args.levels, store=store, **fault_options)
-        finally:
-            if store is not None:
-                store.close()
-    else:
-        result = run_campaign_parallel(
-            compiler, debugger, pool_size=args.pool_size,
-            seed_base=args.seed_base, levels=args.levels,
-            workers=workers, start_method=args.start_method,
-            store_path=args.store, **fault_options)
-    elapsed = time.perf_counter() - started
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=args.indent))
-            handle.write("\n")
-
-    if not args.quiet:
-        from ..report import format_table1_text, format_venn_text
-        mode = "serial" if args.serial or workers <= 1 else \
-            f"{workers} workers"
-        rate = result.pool_size / elapsed if elapsed > 0 else 0.0
-        print(f"campaign: {result.family}-{result.version}, "
-              f"{result.pool_size} programs, levels "
-              f"{'/'.join(result.levels)}, {debugger_name} ({mode})")
-        print(f"elapsed: {elapsed:.2f}s ({rate:.2f} programs/sec)")
-        print()
-        print("Table 1 — violations per optimization level")
-        print(format_table1_text(result))
-        print()
-        print("Venn regions — unique violations per exact level set")
-        print(format_venn_text(result))
-        if args.output:
-            print()
-            print(f"artifact written to {args.output}")
-    _print_failures(result, args.quiet)
-    if args.report:
-        _write_report(result, args)
-    return 0
-
-
-def _run_matrix(parser: argparse.ArgumentParser, args) -> int:
-    """The compile-once matrix path (``--families gcc,clang``)."""
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    workers = 1 if args.serial else (
-        args.workers if args.workers is not None else default_workers())
-    fault_options = _fault_options(parser, args)
-    started = time.perf_counter()
-    if args.serial or workers <= 1:
-        store = _open_cli_store(args.store)
-        try:
-            result = run_matrix_campaign(
-                families=args.families, version=args.version,
-                pool_size=args.pool_size, seed_base=args.seed_base,
-                levels=args.levels, store=store, **fault_options)
-        finally:
-            if store is not None:
-                store.close()
-    else:
-        result = run_matrix_campaign_parallel(
+        # The compile-once matrix over every family x level x debugger.
+        result = _run_driver(
+            args, args.serial or workers <= 1, workers,
+            (run_matrix_campaign, run_matrix_campaign_parallel),
             families=args.families, version=args.version,
             pool_size=args.pool_size, seed_base=args.seed_base,
-            levels=args.levels, workers=workers,
-            start_method=args.start_method, store_path=args.store,
-            **fault_options)
+            levels=args.levels, **fault_options)
+        heading = (f"matrix campaign: {'/'.join(args.families)}-"
+                   f"{args.version}, {result.pool_size} programs, "
+                   f"{len(result.cells)} cells ({mode})")
+    else:
+        debugger_name = args.debugger
+        if debugger_name == "auto":
+            debugger_name = NATIVE_DEBUGGERS[args.family].name
+        result = _run_campaign(args, debugger_name, workers, args.serial,
+                               fault_options)
+        heading = (f"campaign: {result.family}-{result.version}, "
+                   f"{result.pool_size} programs, levels "
+                   f"{'/'.join(result.levels)}, {debugger_name} ({mode})")
     elapsed = time.perf_counter() - started
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=args.indent))
-            handle.write("\n")
+    _write_json(args.output, result, args.indent)
 
     if not args.quiet:
-        mode = "serial" if args.serial or workers <= 1 else \
-            f"{workers} workers"
         rate = result.pool_size / elapsed if elapsed > 0 else 0.0
-        cells = len(result.cells)
-        print(f"matrix campaign: {'/'.join(args.families)}-"
-              f"{args.version}, {result.pool_size} programs, "
-              f"{cells} cells ({mode})")
+        print(heading)
         print(f"elapsed: {elapsed:.2f}s ({rate:.2f} programs/sec)")
         print()
-        print(result.format_summary())
-        if args.output:
+        if args.families:
+            print(result.format_summary())
+        else:
+            from ..report import format_table1_text, format_venn_text
+            print("Table 1 — violations per optimization level")
+            print(format_table1_text(result))
             print()
-            print(f"artifact written to {args.output}")
-    _print_failures(result, args.quiet)
-    if args.report:
-        _write_report(result, args)
-    return 0
+            print("Venn regions — unique violations per exact level set")
+            print(format_venn_text(result))
+    return _finish(result, args, args.report_formats)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from ..compilers.frontend import FrontendSession
 from ..conjectures.base import Violation, check_all
 from ..debugger.base import Debugger, trace_all
 from ..debugger.specs import DEBUGGER_REGISTRY, DebuggerSpec
-from ..faults.boundary import DEFAULT_MAX_ATTEMPTS, FailureBoundary
+from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..faults.records import FailureRecord, merge_failures
 from ..fuzz.seeds import SeedSpec
@@ -50,8 +50,9 @@ from ..lang.printer import print_program
 from ..target.codegen import link
 from .campaign import (
     CAMPAIGN_SCHEMA, CampaignResult, ProgramResult, fold_results,
-    missing_field_error, persist_failure, stored_failure,
+    missing_field_error,
 )
+from .units import Cell, Unit, Workload, run_units
 
 #: Artifact schema tag for stored matrix results.
 MATRIX_SCHEMA = "repro-matrix/1"
@@ -67,9 +68,25 @@ DebuggerLike = Union[Debugger, DebuggerSpec, str]
 DEFAULT_DEBUGGERS = ("gdb-like", "lldb-like")
 
 
+#: Process-level toolchain memo: a compiler/debugger spec is rebuilt
+#: **once per process**, not once per shard.  Specs are frozen
+#: dataclasses, and the rebuilt objects carry no cross-shard state
+#: (pinned by the spawn-determinism tests), so sharing them across every
+#: shard a worker executes is safe.
+_TOOLCHAIN_CACHE: dict = {}
+
+
+def build_cached(spec) -> object:
+    """The built toolchain object for ``spec``, memoized per process."""
+    built = _TOOLCHAIN_CACHE.get(spec)
+    if built is None:
+        built = _TOOLCHAIN_CACHE[spec] = spec.build()
+    return built
+
+
 def _build_compiler(compiler: CompilerLike) -> Compiler:
     if isinstance(compiler, CompilerSpec):
-        return compiler.build()
+        return build_cached(compiler)
     return compiler
 
 
@@ -77,7 +94,7 @@ def _build_debugger(debugger: DebuggerLike) -> Debugger:
     if isinstance(debugger, str):
         return DEBUGGER_REGISTRY[debugger]()
     if isinstance(debugger, DebuggerSpec):
-        return debugger.build()
+        return build_cached(debugger)
     return debugger
 
 
@@ -220,10 +237,110 @@ def merge_matrix_results(results: Iterable[MatrixCampaignResult]
     return fold_results(results)
 
 
-def _cell_name(key: MatrixCellKey) -> str:
-    """The failure-record cell tag: ``family-version/debugger``."""
-    family, version, debugger = key
-    return f"{family}-{version}/{debugger}"
+def record_session(store, unit: Unit, session: FrontendSession) -> None:
+    """The store writes that go with a seed unit's payloads: the
+    printed program and its lowered-module fingerprint."""
+    store.add_program(unit.seed, print_program(session.program))
+    store.record_module_fingerprint(unit.seed, session.fingerprint)
+
+
+def matrix_workload(compilers: Sequence[CompilerLike],
+                    debuggers: Sequence[DebuggerLike], seeds: SeedSpec,
+                    levels: Optional[Sequence[str]] = None) -> Workload:
+    """The compile-once matrix as :func:`~repro.pipeline.units.run_units`
+    work: one unit per seed, one cell per (compiler, debugger) pair.
+
+    Failures are contained under the ``"matrix"`` label and filed under
+    each live cell's ``family-version/debugger`` name — fault decisions
+    are keyed by ``(stage, seed)``, never by cell, so a 1x1 run of any
+    cell under the same plan produces the same records for it.
+    """
+    built_debuggers = [_build_debugger(d) for d in debuggers]
+    #: per compiler: (compiler, levels, [(cell, debugger)])
+    rows: List[Tuple[Compiler, List[str], List[Tuple[Cell, Debugger]]]] = []
+    keys = set()
+    for compiler in map(_build_compiler, compilers):
+        run_levels = _campaign_levels(compiler, levels)
+        row = []
+        for debugger in built_debuggers:
+            key = (compiler.family, compiler.version, debugger.name)
+            if key in keys:
+                raise ValueError(
+                    f"duplicate matrix cell {key}: compilers and "
+                    f"debuggers must be unique per (family, version, "
+                    f"debugger)")
+            keys.add(key)
+            row.append((Cell(
+                f"{compiler.family}-{compiler.version}/{debugger.name}",
+                CAMPAIGN_SCHEMA, compiler.family, compiler.version,
+                tuple(run_levels), debugger=debugger.name), debugger))
+        rows.append((compiler, run_levels, row))
+    cells = [cell for _c, _l, row in rows for cell, _d in row]
+    fingerprints: Dict[int, str] = {}
+
+    def evaluate(probe, unit, live):
+        probe("generate")
+        session = FrontendSession(unit.seed)
+        facts = session.facts
+        token = session.program_token
+        payloads: Dict[Cell, Dict[str, object]] = {}
+        for compiler, run_levels, row in rows:
+            missing = [(cell, debugger) for cell, debugger in row
+                       if cell in live]
+            if not missing:
+                continue
+            per_debugger: List[Dict[str, List[Violation]]] = [
+                {} for _ in missing]
+            fired: Dict[str, List[str]] = {}
+            for level in run_levels:
+                # Compile once per level and execute once; every
+                # debugger cell observes the same stops.
+                probe("compile")
+                compilation = compiler.compile_ir(
+                    session.ir_module(), level, program_token=token)
+                fired_ids = compilation.fired_defects()
+                if fired_ids:
+                    fired[level] = fired_ids
+                probe("trace")
+                traces = trace_all(compilation.exe,
+                                   [debugger for _cell, debugger in missing])
+                for violations, trace in zip(per_debugger, traces):
+                    violations[level] = check_all(facts, trace)
+            for (cell, _debugger), violations in zip(missing,
+                                                     per_debugger):
+                payloads[cell] = ProgramResult(
+                    seed=unit.seed, violations=violations,
+                    fired=fired).to_dict()
+        fingerprints[unit.seed] = session.fingerprint
+        return session, payloads
+
+    def replayed(store, unit) -> None:
+        # Every cell already evaluated this seed: no frontend, no
+        # compiles.  The fingerprint is served from the store when a
+        # previous matrix run recorded it; cells filled by plain
+        # campaigns need one frontend pass (still zero compiles).
+        fingerprint = store.module_fingerprint(unit.seed)
+        if fingerprint is None:
+            fingerprint = FrontendSession(unit.seed).fingerprint
+            store.record_module_fingerprint(unit.seed, fingerprint)
+        fingerprints[unit.seed] = fingerprint
+
+    def result(outcome, store) -> MatrixCampaignResult:
+        matrix = MatrixCampaignResult(pool_size=seeds.count,
+                                      fingerprints=fingerprints)
+        for cell in cells:
+            matrix.cells[(cell.family, cell.version, cell.debugger)] = \
+                CampaignResult(
+                    family=cell.family, version=cell.version,
+                    levels=list(cell.levels), pool_size=seeds.count,
+                    programs=[ProgramResult.from_dict(payload) for payload
+                              in outcome.payloads[cell]],
+                    failures=outcome.failures[cell])
+        return matrix
+
+    return Workload(
+        "matrix", cells, lambda store: map(Unit, seeds.seeds()), evaluate,
+        result, extra_writes=record_session, replayed=replayed)
 
 
 def run_matrix_campaign_seeds(
@@ -234,8 +351,6 @@ def run_matrix_campaign_seeds(
         store=None,
         faults: Optional[FaultPlan] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        crash_base: int = 0,
-        escalate_crashes: bool = False,
         retry_failed: bool = True) -> MatrixCampaignResult:
     """Compile-once campaign over an explicit seed range (one shard).
 
@@ -251,159 +366,16 @@ def run_matrix_campaign_seeds(
     recompiles each level once and re-traces only the debuggers whose
     cells are missing.
 
-    Evaluation is fault-contained: a seed that keeps failing is
-    quarantined instead of aborting the matrix, with the shared-frontend
-    failure replicated into every still-unevaluated cell (tagged with
-    that cell's name) — fault decisions are keyed by ``(stage, seed)``,
-    never by cell, so a 1x1 run of any cell under the same plan produces
-    the same records for it.  ``KeyboardInterrupt`` flushes the store
-    before propagating.
+    Evaluation is fault-contained by :func:`~repro.pipeline.units.run_units`:
+    a seed that keeps failing is quarantined instead of aborting the
+    matrix, with the shared-frontend failure replicated into every
+    still-unevaluated cell (see :func:`matrix_workload`), and
+    ``KeyboardInterrupt`` flushes the store before propagating.
     """
-    built_compilers = [_build_compiler(c) for c in compilers]
-    built_debuggers = [_build_debugger(d) for d in debuggers]
-    compiler_levels = [_campaign_levels(compiler, levels)
-                       for compiler in built_compilers]
-    result = MatrixCampaignResult(pool_size=seeds.count)
-    cell_runs: Dict[MatrixCellKey, int] = {}
-    for compiler, run_levels in zip(built_compilers, compiler_levels):
-        for debugger in built_debuggers:
-            key = (compiler.family, compiler.version, debugger.name)
-            if key in result.cells:
-                raise ValueError(
-                    f"duplicate matrix cell {key}: compilers and "
-                    f"debuggers must be unique per (family, version, "
-                    f"debugger)")
-            result.cells[key] = CampaignResult(
-                family=compiler.family, version=compiler.version,
-                levels=list(run_levels), pool_size=seeds.count)
-            if store is not None:
-                cell_runs[key] = store.run_id(
-                    CAMPAIGN_SCHEMA, compiler.family, compiler.version,
-                    run_levels, debugger=debugger.name)
-
-    boundary = FailureBoundary("matrix", faults=faults,
-                               max_attempts=max_attempts,
-                               crash_base=crash_base,
-                               escalate_crashes=escalate_crashes)
-    try:
-        for seed in seeds.seeds():
-            stored_programs: Dict[MatrixCellKey, ProgramResult] = {}
-            carried: Dict[MatrixCellKey, FailureRecord] = {}
-            if store is not None:
-                for key, run in cell_runs.items():
-                    payload = store.get_result(run, seed)
-                    if payload is not None:
-                        stored_programs[key] = ProgramResult.from_dict(
-                            payload)
-                    elif not retry_failed:
-                        prior = stored_failure(store, run, seed)
-                        if prior is not None:
-                            carried[key] = prior
-            for key in result.cells:
-                if key in carried:
-                    result.cells[key].failures.append(carried[key])
-                elif key in stored_programs:
-                    result.cells[key].programs.append(
-                        stored_programs[key])
-            live = [key for key in result.cells
-                    if key not in stored_programs
-                    and key not in carried]
-            if not live:
-                if stored_programs:
-                    # Every cell already evaluated this seed: no
-                    # frontend, no compiles.  The fingerprint is served
-                    # from the store when a previous matrix run
-                    # recorded it; cells filled by plain campaigns need
-                    # one frontend pass (still zero compiles).
-                    fingerprint = store.module_fingerprint(seed)
-                    if fingerprint is None:
-                        fingerprint = FrontendSession(seed).fingerprint
-                        store.record_module_fingerprint(seed,
-                                                        fingerprint)
-                    result.fingerprints[seed] = fingerprint
-                continue
-
-            def compute(probe, seed=seed, live=live):
-                probe("generate")
-                session = FrontendSession(seed)
-                facts = session.facts
-                token = session.program_token
-                computed: Dict[MatrixCellKey, ProgramResult] = {}
-                for compiler, run_levels in zip(built_compilers,
-                                                compiler_levels):
-                    missing = [
-                        debugger for debugger in built_debuggers
-                        if (compiler.family, compiler.version,
-                            debugger.name) in live]
-                    if not missing:
-                        continue
-                    per_debugger: List[Dict[str, List[Violation]]] = [
-                        {} for _ in missing]
-                    fired: Dict[str, List[str]] = {}
-                    for level in run_levels:
-                        # Compile once per level and execute once;
-                        # every debugger cell observes the same stops.
-                        probe("compile")
-                        compilation = compiler.compile_ir(
-                            session.ir_module(), level,
-                            program_token=token)
-                        fired_ids = compilation.fired_defects()
-                        if fired_ids:
-                            fired[level] = fired_ids
-                        probe("trace")
-                        traces = trace_all(compilation.exe, missing)
-                        for violations, trace in zip(per_debugger,
-                                                     traces):
-                            violations[level] = check_all(facts, trace)
-                    for debugger, violations in zip(missing,
-                                                    per_debugger):
-                        computed[(compiler.family, compiler.version,
-                                  debugger.name)] = ProgramResult(
-                            seed=seed, violations=violations,
-                            fired={level: list(ids)
-                                   for level, ids in fired.items()})
-                return session, computed
-
-            value, record = boundary.evaluate(seed, compute)
-            if value is None:
-                for key in live:
-                    cell_record = record.with_cell(_cell_name(key))
-                    result.cells[key].failures.append(cell_record)
-                    if store is not None:
-                        persist_failure(store, cell_runs[key],
-                                        cell_record)
-                continue
-            session, computed = value
-            result.fingerprints[seed] = session.fingerprint
-            if record is not None:
-                for key in live:
-                    result.cells[key].failures.append(
-                        record.with_cell(_cell_name(key)))
-            for key in live:
-                program_result = computed[key]
-                result.cells[key].programs.append(program_result)
-                if store is not None:
-                    def write(key=key, program_result=program_result,
-                              session=session, seed=seed):
-                        store.add_program(
-                            seed, print_program(session.program))
-                        store.record_module_fingerprint(
-                            seed, session.fingerprint)
-                        store.put_result(cell_runs[key], seed,
-                                         program_result.to_dict())
-                    before = len(boundary.failures)
-                    if boundary.store_write(seed, write,
-                                            cell=_cell_name(key)):
-                        store.clear_failure(cell_runs[key], seed, "")
-                    # store_write records (recovered or quarantined
-                    # store-stage failures) belong to this cell.
-                    result.cells[key].failures.extend(
-                        boundary.failures[before:])
-    except KeyboardInterrupt:
-        if store is not None:
-            store.checkpoint()
-        raise
-    return result
+    return run_units(
+        matrix_workload(compilers, debuggers, seeds, levels), store=store,
+        faults=faults, max_attempts=max_attempts,
+        retry_failed=retry_failed)
 
 
 def run_matrix_campaign(

@@ -2,11 +2,12 @@
 
 The paper's core experiment is embarrassingly parallel: every seed is an
 independent generate → compile-at-every-level → trace → check job. This
-module shards a seed range across ``multiprocessing`` workers and merges
-the per-shard results.  The single-cell campaign driver
-(:func:`run_campaign_parallel`) is the 1x1 case of the sharded matrix
-(:func:`run_matrix_campaign_parallel`), so one shard type and one
-worker entry point serve both.
+module shards work across ``multiprocessing`` workers and merges the
+per-shard results.  Every keyed-unit driver — the matrix (and its 1x1
+case, :func:`run_campaign_parallel`), verify and bisection — ships its
+slice in one :class:`UnitShard`, and one worker entry point
+(:func:`run_unit_shard`) runs the one unit loop
+(:func:`~repro.pipeline.units.run_units`) over it.
 
 Design invariants (pinned by ``tests/test_parallel_campaign.py``):
 
@@ -23,11 +24,11 @@ Design invariants (pinned by ``tests/test_parallel_campaign.py``):
 * **Exact study reduction** — the sharded study concatenates per-shard,
   per-program metric lists in seed order and averages left to right, the
   same float operations in the same order as the serial run.
-* **One rescue path** — every supervised shard (matrix, verify, bisect)
-  carries ``crash_base`` and ``escalate_crashes``; :func:`_map_shards`
-  respawns a crashed shard as ``replace(shard, crash_base=n)`` and, past
-  the retry bound, rescues it by running the same worker in the driver
-  with ``escalate_crashes=False``.
+* **One rescue path** — a :class:`UnitShard` carries ``crash_base`` and
+  ``escalate_crashes``; :func:`_map_shards` respawns a crashed shard as
+  ``replace(shard, crash_base=n)`` and, past the retry bound, rescues it
+  by running the same worker in the driver with
+  ``escalate_crashes=False``.
 
 Merged results serialize to the same ``repro-campaign/1`` /
 ``repro-matrix/1`` / ``repro-study/1`` artifacts as the serial drivers
@@ -43,23 +44,26 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from ..compilers.compiler import Compiler, CompilerSpec
-from ..debugger.base import Debugger
+from ..compilers.compiler import CompilerSpec
 from ..debugger.specs import DebuggerSpec, spec_for
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan, InjectedCrash
-from ..faults.records import merge_failures
 from ..fuzz.seeds import SeedSpec
 from ..metrics.study import (
     CellSamples, StudyResult, measure_pool_cells, reduce_cells,
 )
 from .campaign import CampaignResult
 from .matrix import (
-    MatrixCampaignResult, merge_matrix_results, run_matrix_campaign_seeds,
+    CompilerLike, DebuggerLike, MatrixCampaignResult,
+    build_cached, matrix_workload, merge_matrix_results,
 )
+from .units import Workload, run_units
 
 #: Shards handed out per worker; >1 smooths load imbalance between seeds
 #: (validation retries make some programs costlier than others) and
@@ -68,38 +72,25 @@ from .matrix import (
 #: ``_map_shards`` respawns.
 SHARDS_PER_WORKER = 4
 
-#: Process-level toolchain memo: workers rebuild a compiler/debugger from
-#: its picklable spec **once per process**, not once per shard.  Specs
-#: are frozen dataclasses, and the rebuilt objects carry no cross-shard
-#: state (pinned by the spawn-determinism tests), so sharing them across
-#: every shard a worker executes is safe.
-_TOOLCHAIN_CACHE: dict = {}
 
-
-def build_cached(spec) -> object:
-    """The built toolchain object for ``spec``, memoized per process."""
-    built = _TOOLCHAIN_CACHE.get(spec)
-    if built is None:
-        built = _TOOLCHAIN_CACHE[spec] = spec.build()
-    return built
-
-
-def _open_store(path: Optional[str]):
-    """A worker-local :class:`~repro.store.CampaignStore` for ``path``.
+@contextmanager
+def open_store(path: Optional[str]) -> Iterator:
+    """A :class:`~repro.store.CampaignStore` on ``path`` for the block,
+    closed afterwards; ``None`` yields ``None`` (storeless runs skip
+    persistence entirely).
 
     Shards carry the store as a *path*, not a handle — sqlite
     connections don't pickle and must not cross a spawn boundary.  Each
     worker opens its own connection; WAL mode plus the store's busy
-    timeout make concurrent shard writes safe.  ``None`` stays ``None``
-    (storeless shards skip persistence entirely).
+    timeout make concurrent shard writes safe.  The driver CLIs open
+    their ``--store`` the same way.
     """
     if path is None:
-        return None
+        yield None
+        return
     from ..store import CampaignStore  # lazy: avoid an import cycle
-    return CampaignStore(path)
-
-CompilerLike = Union[Compiler, CompilerSpec]
-DebuggerLike = Union[Debugger, DebuggerSpec]
+    with CampaignStore(path) as store:
+        yield store
 
 
 def as_compiler_spec(compiler: CompilerLike) -> CompilerSpec:
@@ -109,6 +100,8 @@ def as_compiler_spec(compiler: CompilerLike) -> CompilerSpec:
 
 
 def as_debugger_spec(debugger: DebuggerLike) -> DebuggerSpec:
+    if isinstance(debugger, str):
+        return DebuggerSpec(name=debugger)
     if isinstance(debugger, DebuggerSpec):
         return debugger
     return spec_for(debugger)
@@ -280,7 +273,6 @@ def run_campaign_parallel(compiler: CompilerLike, debugger: DebuggerLike,
         max_attempts=max_attempts, retry_failed=retry_failed,
         retry=retry, sleeper=sleeper)
     (cell,) = matrix.cells.values()
-    cell.failures = merge_failures(cell.failures, ())
     return cell
 
 
@@ -336,51 +328,77 @@ def run_study_parallel(family: str, versions: Sequence[str],
     return reduce_cells(cells, pool_size=pool_size)
 
 
-# -- compile-once matrix ------------------------------------------------------
+# -- keyed-unit shards -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MatrixShard:
-    """One worker's unit of matrix work (fully picklable)."""
+class UnitShard:
+    """One worker's slice of a keyed-unit driver (fully picklable).
 
-    compilers: Tuple[CompilerSpec, ...]
-    debuggers: Tuple[DebuggerSpec, ...]
-    seeds: SeedSpec
-    levels: Optional[Tuple[str, ...]] = None
+    ``build(*work)`` makes the driver's
+    :class:`~repro.pipeline.units.Workload` inside the worker: ``build``
+    is a module-level callable (it pickles by reference) and ``work`` is
+    the slice — toolchain specs plus a :class:`~repro.fuzz.seeds.SeedSpec`,
+    or a program slice as ``repro-campaign/1`` JSON.
+    """
+
+    build: Callable[..., Workload]
+    work: Tuple
     store_path: Optional[str] = None
     faults: Optional[FaultPlan] = None
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    retry_failed: bool = True
     #: How many times this shard's worker has already died — threaded
     #: into the containment boundary so respawned workers reconstruct
     #: exact crash accounting (see FaultPlan.prior_crashes).
     crash_base: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    retry_failed: bool = True
     #: False only for the supervisor's in-driver rescue run, where the
     #: serial boundary simulates the remaining crash budget per seed.
     escalate_crashes: bool = True
 
 
-def run_matrix_shard(shard: MatrixShard) -> MatrixCampaignResult:
-    """Worker entry point: the compile-once matrix over one seed shard.
+def run_unit_shard(shard: UnitShard):
+    """Worker entry point: :func:`~repro.pipeline.units.run_units` over
+    one slice, writing through the shared WAL-mode store when the shard
+    names one.  Injected worker death escalates for the supervisor,
+    except in its in-driver rescue run (see :func:`_map_shards`)."""
+    with open_store(shard.store_path) as store:
+        return run_units(
+            shard.build(*shard.work), store=store, faults=shard.faults,
+            max_attempts=shard.max_attempts,
+            retry_failed=shard.retry_failed, crash_base=shard.crash_base,
+            escalate_crashes=shard.escalate_crashes)
 
-    The returned result carries per-seed lowered-module fingerprints;
-    the merge rejects shards that disagree, so a worker whose frontend
-    diverged from the serial driver's cannot silently corrupt the
-    campaign.  Injected worker death escalates for the supervisor.
-    """
-    store = _open_store(shard.store_path)
-    try:
-        return run_matrix_campaign_seeds(
-            [build_cached(spec) for spec in shard.compilers],
-            [build_cached(spec) for spec in shard.debuggers],
-            shard.seeds, levels=shard.levels, store=store,
-            faults=shard.faults, max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base,
-            escalate_crashes=shard.escalate_crashes,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
+
+def map_unit_shards(build: Callable[..., Workload],
+                    slices: Callable[[int], Iterable[Tuple]],
+                    workers: Optional[int], start_method: str,
+                    store_path: Optional[str] = None,
+                    faults: Optional[FaultPlan] = None,
+                    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+                    retry_failed: bool = True,
+                    retry: Optional[RetryPolicy] = None,
+                    sleeper: Optional[Callable[[float], None]] = None
+                    ) -> List:
+    """One :class:`UnitShard` per slice of ``slices(n)`` — the driver's
+    work cut into at most ``n`` pieces, ``SHARDS_PER_WORKER`` per worker
+    (``workers`` defaults to the CPU count) — run under
+    :func:`_map_shards` supervision (``retry`` defaults to
+    ``RetryPolicy(max_attempts)``).  Returns the per-shard results in
+    slice order for the driver to fold."""
+    if workers is None:
+        workers = default_workers()
+    shards = [UnitShard(build, work, store_path=store_path,
+                        faults=faults, max_attempts=max_attempts,
+                        retry_failed=retry_failed)
+              for work in slices(max(1, workers) * SHARDS_PER_WORKER)]
+    if retry is None:
+        retry = RetryPolicy(max_attempts=max_attempts)
+    return _map_shards(run_unit_shard, shards, workers, start_method,
+                       retry=retry, sleeper=sleeper)
+
+
+# -- compile-once matrix ------------------------------------------------------
 
 
 def run_matrix_campaign_parallel(
@@ -415,26 +433,12 @@ def run_matrix_campaign_parallel(
     if debuggers is None:
         debuggers = ("gdb-like", "lldb-like")
     compiler_specs = tuple(as_compiler_spec(c) for c in compilers)
-    debugger_specs = tuple(
-        DebuggerSpec(name=d) if isinstance(d, str) else as_debugger_spec(d)
-        for d in debuggers)
-    if workers is None:
-        workers = default_workers()
+    debugger_specs = tuple(as_debugger_spec(d) for d in debuggers)
     spec = SeedSpec(base=seed_base, count=pool_size)
-    if pool_size == 0:
-        return run_matrix_campaign_seeds(
-            compiler_specs, debugger_specs, spec, levels=levels)
-    shards = [
-        MatrixShard(compilers=compiler_specs, debuggers=debugger_specs,
-                    seeds=seed_shard,
-                    levels=tuple(levels) if levels is not None else None,
-                    store_path=store_path, faults=faults,
-                    max_attempts=max_attempts,
-                    retry_failed=retry_failed)
-        for seed_shard in spec.shard(max(1, workers) * SHARDS_PER_WORKER)
-    ]
-    if retry is None:
-        retry = RetryPolicy(max_attempts=max_attempts)
-    return merge_matrix_results(
-        _map_shards(run_matrix_shard, shards, workers, start_method,
-                    retry=retry, sleeper=sleeper))
+    return merge_matrix_results(map_unit_shards(
+        matrix_workload,
+        lambda n: [(compiler_specs, debugger_specs, seed_shard, levels)
+                   for seed_shard in spec.shard(n)],
+        workers, start_method, store_path=store_path, faults=faults,
+        max_attempts=max_attempts, retry_failed=retry_failed,
+        retry=retry, sleeper=sleeper))

@@ -20,6 +20,7 @@ since line numbers shift while shrinking.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -28,7 +29,7 @@ from ..compilers.compiler import Compiler
 from ..conjectures.base import Violation
 from ..debugger import NATIVE_DEBUGGERS
 from ..debugger.base import Debugger
-from ..faults.boundary import DEFAULT_MAX_ATTEMPTS, FailureBoundary
+from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..faults.records import (
     FailureRecord, failures_from_dicts, failures_to_dicts,
@@ -37,9 +38,9 @@ from ..faults.records import (
 from ..fuzz.generator import generate_validated
 from ..reduce import Reducer, ReductionResult, ReferenceReducer
 from ..triage.triage import triage
-from .campaign import (
-    CampaignResult, fold_results, missing_field_error, persist_failure,
-    stored_failure,
+from .campaign import CampaignResult, fold_results, missing_field_error
+from .units import (
+    Cell, Unit, Workload, payload_stats, run_units, seed_positions,
 )
 
 #: Artifact schema tag; bump only with a migration path in ``from_dict``.
@@ -242,6 +243,90 @@ def iter_witnesses(campaign: CampaignResult
                 yield program_result.seed, level, violation
 
 
+def witness_item(level: str, conjecture: str, variable: str) -> str:
+    """A witness's unit identity, ``level/conjecture/variable``: its
+    failure-record ``item`` (and its reduction row key)."""
+    return f"{level}/{conjecture}/{variable}"
+
+
+def witness_units(campaign: CampaignResult, limit: Optional[int] = None
+                  ) -> Iterator[Unit]:
+    """One unit per witness, in :func:`iter_witnesses` order and at
+    most ``limit``: item and key :func:`witness_item`, position from
+    :func:`~repro.pipeline.units.seed_positions`, subject ``(level,
+    violation)``."""
+    witnesses = list(itertools.islice(iter_witnesses(campaign), limit))
+    positions = seed_positions(seed for seed, _level, _v in witnesses)
+    for (seed, level, violation), position in zip(witnesses, positions):
+        item = witness_item(level, violation.conjecture, violation.variable)
+        yield Unit(seed, item=item, key=item, position=position,
+                   subject=(level, violation))
+
+
+def reduction_workload(campaign: CampaignResult, engine: str,
+                       debugger: Optional[Debugger], max_steps: int,
+                       with_triage: bool, workers: Optional[int],
+                       limit: Optional[int]) -> Workload:
+    """Reduction as :func:`~repro.pipeline.units.run_units` work: one
+    unit per witness (:func:`iter_witnesses` order, at most ``limit``),
+    keyed by :func:`witness_item`, in one ``family-version/debugger``
+    cell."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown reduction engine {engine!r}; "
+                         f"known: {', '.join(ENGINES)}")
+    compiler = Compiler(campaign.family, campaign.version)
+    if debugger is None:
+        debugger = NATIVE_DEBUGGERS[campaign.family]()
+    name = f"{campaign.family}-{campaign.version}/{debugger.name}"
+    cell = Cell(name, REDUCE_SCHEMA, campaign.family, campaign.version,
+                debugger=debugger.name, engine=engine)
+
+    def evaluate(probe, unit, live):
+        level, violation = unit.subject
+        probe("generate")
+        program = generate_validated(unit.seed)
+        probe("reduce")
+        culprit = None
+        method = "none"
+        if with_triage:
+            triaged = triage(compiler, program, level, debugger,
+                             violation)
+            culprit = triaged.culprit
+            method = triaged.method
+        reduction = _reduce_one(
+            compiler, level, debugger, violation, culprit, engine,
+            max_steps, workers, program)
+        payload = ReductionRecord(
+            seed=unit.seed, level=level,
+            conjecture=violation.conjecture,
+            variable=violation.variable, function=violation.function,
+            line=violation.line, culprit=culprit, method=method,
+            original_size=reduction.original_size,
+            reduced_size=reduction.reduced_size,
+            steps_tried=reduction.steps_tried,
+            steps_accepted=reduction.steps_accepted,
+            reduced_source=reduction.source).to_dict()
+        if reduction.stats is not None:
+            # Each witness carries its own slice of the oracle
+            # accounting (see payload_stats).
+            payload["stats"] = reduction.stats.as_dict()
+        return None, {cell: payload}
+
+    def result(outcome, store) -> ReductionCampaignResult:
+        payloads = outcome.payloads[cell]
+        return ReductionCampaignResult(
+            family=campaign.family, version=campaign.version,
+            debugger=debugger.name, engine=engine,
+            pool_size=campaign.pool_size,
+            records=[ReductionRecord.from_dict(p) for p in payloads],
+            stats=payload_stats(payloads),
+            failures=outcome.failures[cell])
+
+    return Workload(name, [cell], lambda store: witness_units(campaign, limit),
+                    evaluate, result,
+                    run_attrs={"pool_size": campaign.pool_size})
+
+
 def run_reduction_campaign(campaign: CampaignResult,
                            engine: str = "fast",
                            debugger: Optional[Debugger] = None,
@@ -277,110 +362,11 @@ def run_reduction_campaign(campaign: CampaignResult,
     takes down the rest of its seed); ``KeyboardInterrupt`` flushes
     the store before propagating.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown reduction engine {engine!r}; "
-                         f"known: {', '.join(ENGINES)}")
-    compiler = Compiler(campaign.family, campaign.version)
-    if debugger is None:
-        debugger = NATIVE_DEBUGGERS[campaign.family]()
-    result = ReductionCampaignResult(
-        family=campaign.family, version=campaign.version,
-        debugger=debugger.name, engine=engine,
-        pool_size=campaign.pool_size)
-    run = None
-    if store is not None:
-        run = store.run_id(
-            REDUCE_SCHEMA, campaign.family, campaign.version, (),
-            debugger=debugger.name, engine=engine,
-            attrs={"pool_size": campaign.pool_size})
-    cell = f"{campaign.family}-{campaign.version}/{debugger.name}"
-    boundary = FailureBoundary(cell, faults=faults,
-                               max_attempts=max_attempts)
-    totals: Dict[str, int] = {}
-    try:
-        for count, (seed, level, violation) in enumerate(
-                iter_witnesses(campaign)):
-            if limit is not None and count >= limit:
-                break
-            item = f"{level}/{violation.conjecture}/{violation.variable}"
-            if run is not None:
-                stored = store.get_reduction(
-                    run, seed, level, violation.conjecture,
-                    violation.variable)
-                if stored is not None:
-                    for key, value in stored.pop("stats", {}).items():
-                        totals[key] = totals.get(key, 0) + value
-                    result.records.append(
-                        ReductionRecord.from_dict(stored))
-                    continue
-                if not retry_failed:
-                    prior = stored_failure(store, run, seed, item)
-                    if prior is not None:
-                        result.failures.append(prior)
-                        continue
-
-            def compute(probe, seed=seed, level=level,
-                        violation=violation):
-                probe("generate")
-                program = generate_validated(seed)
-                probe("reduce")
-                culprit = None
-                method = "none"
-                if with_triage:
-                    triaged = triage(compiler, program, level, debugger,
-                                     violation)
-                    culprit = triaged.culprit
-                    method = triaged.method
-                reduction = _reduce_one(
-                    compiler, level, debugger, violation, culprit,
-                    engine, max_steps, workers, program)
-                record = ReductionRecord(
-                    seed=seed, level=level,
-                    conjecture=violation.conjecture,
-                    variable=violation.variable,
-                    function=violation.function,
-                    line=violation.line, culprit=culprit, method=method,
-                    original_size=reduction.original_size,
-                    reduced_size=reduction.reduced_size,
-                    steps_tried=reduction.steps_tried,
-                    steps_accepted=reduction.steps_accepted,
-                    reduced_source=reduction.source)
-                return record, reduction
-            value, failure = boundary.evaluate(seed, compute, item=item)
-            if value is None:
-                if run is not None:
-                    persist_failure(store, run, failure)
-                continue
-            record, reduction = value
-            result.records.append(record)
-            share: Dict[str, int] = {}
-            if reduction.stats is not None:
-                share = reduction.stats.as_dict()
-                for key, value in share.items():
-                    totals[key] = totals.get(key, 0) + value
-            if run is not None:
-                payload = record.to_dict()
-                if share:
-                    # Each witness carries its own slice of the oracle
-                    # accounting so a resumed run reassembles the exact
-                    # aggregate (int sums are order-independent).
-                    payload["stats"] = share
-
-                def write(seed=seed, level=level, violation=violation,
-                          count=count, payload=payload):
-                    store.put_reduction(
-                        run, seed, level, violation.conjecture,
-                        violation.variable, count, payload)
-                if boundary.store_write(seed, write, item=item):
-                    store.clear_failure(run, seed, item)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.checkpoint()
-        raise
-    result.stats = totals
-    result.failures = merge_failures(result.failures,
-                                     boundary.failures)
-    return result
+    return run_units(
+        reduction_workload(campaign, engine, debugger, max_steps,
+                           with_triage, workers, limit),
+        store=store, faults=faults, max_attempts=max_attempts,
+        retry_failed=retry_failed)
 
 
 def _reduce_one(compiler, level, debugger, violation, culprit, engine,

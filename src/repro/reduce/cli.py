@@ -89,26 +89,17 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
 
-    from ..pipeline.cli import (
-        _fault_options, _open_cli_store, _print_failures,
-    )
+    from ..pipeline.cli import _fault_options, _finish, _write_json
+    from ..pipeline.parallel import open_store
     fault_options = _fault_options(parser, args)
     started = time.perf_counter()
-    store = _open_cli_store(args.store)
-    try:
+    with open_store(args.store) as store:
         result = run_reduction_campaign(
             campaign, engine=args.engine, max_steps=args.max_steps,
             with_triage=not args.no_triage, workers=args.workers,
             limit=args.limit, store=store, **fault_options)
-    finally:
-        if store is not None:
-            store.close()
     elapsed = time.perf_counter() - started
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=args.indent))
-            handle.write("\n")
+    _write_json(args.output, result, args.indent)
 
     if not args.quiet:
         from ..report import reduce_table, render
@@ -121,17 +112,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
               f"{rate:.1f} candidates/sec)")
         print()
         print(render(reduce_table(result), "text"))
-        if args.output:
-            print()
-            print(f"artifact written to {args.output}")
-    _print_failures(result, args.quiet)
-    if args.report:
-        from ..report.manifest import render_all
-        from ..report.renderers import DEFAULT_FORMATS
-        render_all([result], args.report, formats=DEFAULT_FORMATS)
-        if not args.quiet:
-            print(f"report written to {args.report}/manifest.json")
-    return 0
+    return _finish(result, args)
 
 
 if __name__ == "__main__":

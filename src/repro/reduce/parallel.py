@@ -14,7 +14,7 @@ Workers follow the sharded-campaign playbook
 :class:`~repro.compilers.compiler.CompilerSpec` /
 :class:`~repro.debugger.specs.DebuggerSpec` values plus the candidate's
 printed source, rebuild the toolchain once per process via
-:func:`~repro.pipeline.parallel.build_cached`, and keep a per-process
+:func:`~repro.pipeline.matrix.build_cached`, and keep a per-process
 :class:`~repro.reduce.oracle.ReductionOracle` so the source/fingerprint
 memos warm up worker-side too.  The parent keeps its own source-level
 memo: a candidate text it has already seen is never re-dispatched.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import os
 import pickle
 from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
@@ -66,7 +65,7 @@ def evaluate_oracle_task(task: OracleTask) -> Tuple[bool, Dict[str, int]]:
     caused, so the parent can aggregate the per-stage accounting that
     would otherwise stay stranded in the worker processes.
     """
-    from ..pipeline.parallel import build_cached
+    from ..pipeline.matrix import build_cached
     (compiler_spec, debugger_spec, level, violation, culprit, fuel,
      blob, source) = task
     key = (compiler_spec, debugger_spec, level, violation, culprit, fuel)
@@ -82,10 +81,6 @@ def evaluate_oracle_task(task: OracleTask) -> Tuple[bool, Dict[str, int]]:
     delta = {name: getattr(oracle.stats, name) - before[name]
              for name in _STAT_FIELDS}
     return verdict, delta
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def _next_batch(schedule, current, memo: Dict[str, bool], limit: int,
@@ -133,6 +128,7 @@ def reduce_parallel(reducer: Reducer, program: A.Program,
     serial-equivalent ``steps_tried`` by the wasted speculation.
     """
     if workers is None:
+        from ..pipeline.parallel import default_workers
         workers = default_workers()
     if workers <= 1:
         return reducer.reduce(program)

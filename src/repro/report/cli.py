@@ -170,7 +170,7 @@ def _expand_source(parser, path: str) -> List[Artifact]:
 
 def _load_typed(parser, path: str, types, command) -> Artifact:
     """Load one artifact of the wanted type(s) from a JSON document
-    or a ``repro-db/1`` store file.
+    or a ``repro-db/2`` store file.
 
     A store needs no export step: the run whose type the subcommand
     wants is selected directly, and several stored campaign cells are

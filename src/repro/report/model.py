@@ -188,12 +188,12 @@ def load_artifact(text: Union[str, Dict[str, object]]) -> Artifact:
 
 
 #: First bytes of every sqlite3 database file — how artifact loading
-#: tells a ``repro-db/1`` persistent store from a JSON document.
+#: tells a ``repro-db/2`` persistent store from a JSON document.
 SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 def is_store_file(path: str) -> bool:
-    """True when ``path`` is a sqlite database — i.e. a ``repro-db/1``
+    """True when ``path`` is a sqlite database — i.e. a ``repro-db/2``
     persistent campaign store rather than artifact JSON."""
     with open(path, "rb") as handle:
         return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
@@ -210,7 +210,7 @@ def load_store_artifacts(path: str) -> List[Artifact]:
 def load_artifact_file(path: str) -> Artifact:
     """:func:`load_artifact` over a file path.
 
-    A ``repro-db/1`` store file is accepted too, provided it holds
+    A ``repro-db/2`` store file is accepted too, provided it holds
     exactly one run — rendering straight from the database without an
     export step.  For multi-run stores use
     :func:`load_store_artifacts` (or the typed selection the

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser(
         "run", help="serve jobs over a store until SIGTERM/SIGINT")
     run.add_argument("--store", required=True, metavar="PATH",
-                     help="persistent campaign store file (repro-db/1)")
+                     help="persistent campaign store file (repro-db/2)")
     run.add_argument("--host", default="127.0.0.1")
     run.add_argument("--port", type=int, default=0,
                      help="TCP port (0 picks a free one)")

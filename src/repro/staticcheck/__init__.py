@@ -24,9 +24,9 @@ statically detectable, dynamic-only, or both.
 
 from .availability import StaticCheckError, check_availability
 from .campaign import (
-    VERIFY_SCHEMA, VerifyCampaignResult, VerifyProgramResult, VerifyShard,
+    VERIFY_SCHEMA, VerifyCampaignResult, VerifyProgramResult,
     merge_verify_results, run_verify_campaign, run_verify_campaign_parallel,
-    run_verify_campaign_seeds, run_verify_shard,
+    run_verify_campaign_seeds,
 )
 from .dies import check_dies
 from .findings import CHECK_POINTS, Finding, sorted_findings
@@ -40,7 +40,6 @@ __all__ = [
     "VERIFY_SCHEMA",
     "VerifyCampaignResult",
     "VerifyProgramResult",
-    "VerifyShard",
     "check_availability",
     "check_dies",
     "check_lines",
@@ -48,7 +47,6 @@ __all__ = [
     "run_verify_campaign",
     "run_verify_campaign_parallel",
     "run_verify_campaign_seeds",
-    "run_verify_shard",
     "sorted_findings",
     "verify_compilation",
     "verify_executable",

@@ -11,38 +11,37 @@ ROADMAP's "verify millions of builds" axis feasible.
 Results are pure, mergeable values exactly like
 :class:`~repro.pipeline.campaign.CampaignResult`: shard merges are
 associative over disjoint seed ranges, serialization round-trips via
-the ``repro-verify/1`` artifact (``docs/ARTIFACTS.md``), and the
-sharded driver (:func:`run_verify_campaign_parallel`) reuses the
-pipeline's picklable-spec spawn machinery so serial and parallel runs
-are bit-identical.  Each program additionally records its lowered
-``module_fingerprint`` so a verify artifact can be joined against a
-matrix/campaign artifact for the same seeds with confidence that both
-saw the same programs.
+the ``repro-verify/1`` artifact (``docs/ARTIFACTS.md``), and every
+driver here runs :func:`verify_workload` through the pipeline's one
+unit loop (:func:`~repro.pipeline.units.run_units`) — serially, or in
+:class:`~repro.pipeline.parallel.UnitShard` slices across spawn workers
+— so serial, sharded and resumed runs are bit-identical.  Each program
+additionally records its lowered ``module_fingerprint`` so a verify
+artifact can be joined against a matrix/campaign artifact for the same
+seeds with confidence that both saw the same programs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..compilers.compiler import Compiler, CompilerSpec
+from ..compilers.compiler import Compiler
 from ..compilers.frontend import FrontendSession
-from ..faults.boundary import DEFAULT_MAX_ATTEMPTS, FailureBoundary
+from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..faults.records import (
     FailureRecord, failures_from_dicts, failures_to_dicts,
     merge_failures,
 )
 from ..fuzz.seeds import SeedSpec
-from ..lang.printer import print_program
-from ..pipeline.campaign import (
-    fold_results, missing_field_error, persist_failure, stored_failure,
-)
+from ..pipeline.campaign import fold_results, missing_field_error
+from ..pipeline.matrix import CompilerLike, _build_compiler, record_session
 from ..pipeline.parallel import (
-    SHARDS_PER_WORKER, RetryPolicy, as_compiler_spec, build_cached,
-    default_workers, _map_shards, _open_store,
+    RetryPolicy, as_compiler_spec, map_unit_shards,
 )
+from ..pipeline.units import Cell, Unit, Workload, run_units
 from .findings import Finding
 from .verifier import verify_compilation
 
@@ -222,104 +221,67 @@ def merge_verify_results(results: Iterable[VerifyCampaignResult]
 # -- drivers ------------------------------------------------------------------
 
 
-def _resolve_levels(compiler: Compiler,
-                    levels: Optional[Sequence[str]]) -> List[str]:
+def verify_workload(compiler: CompilerLike, seeds: SeedSpec,
+                    levels: Optional[Sequence[str]] = None) -> Workload:
+    """The verify campaign as :func:`~repro.pipeline.units.run_units`
+    work: one unit per seed, one ``family-version`` cell."""
+    compiler = _build_compiler(compiler)
     # Unlike the dynamic campaign, O0 stays in by default: a static
     # check of the unoptimized build is free and anchors the matrix.
-    if levels is None:
-        return list(compiler.levels)
-    return list(levels)
+    levels = list(compiler.levels if levels is None else levels)
+    name = f"{compiler.family}-{compiler.version}"
+    cell = Cell(name, VERIFY_SCHEMA, compiler.family, compiler.version,
+                tuple(levels))
+
+    def evaluate(probe, unit, live):
+        probe("generate")
+        session = FrontendSession(unit.seed)
+        program_result = VerifyProgramResult(
+            seed=unit.seed, fingerprint=session.fingerprint)
+        for level in levels:
+            probe("compile")
+            compilation = compiler.compile_ir(
+                session.ir_module(), level,
+                program_token=session.program_token)
+            probe("verify")
+            program_result.findings[level] = verify_compilation(
+                compilation)
+            fired = compilation.fired_defects()
+            if fired:
+                program_result.fired[level] = fired
+        return session, {cell: program_result.to_dict()}
+
+    def result(outcome, store) -> VerifyCampaignResult:
+        return VerifyCampaignResult(
+            family=compiler.family, version=compiler.version,
+            levels=levels, pool_size=seeds.count,
+            programs=[VerifyProgramResult.from_dict(payload)
+                      for payload in outcome.payloads[cell]],
+            failures=outcome.failures[cell])
+
+    return Workload(name, [cell], lambda store: map(Unit, seeds.seeds()),
+                    evaluate, result, extra_writes=record_session)
 
 
-def run_verify_campaign_seeds(compiler: Compiler, seeds: SeedSpec,
+def run_verify_campaign_seeds(compiler: CompilerLike, seeds: SeedSpec,
                               levels: Optional[Sequence[str]] = None,
                               store=None,
                               faults: Optional[FaultPlan] = None,
                               max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                              crash_base: int = 0,
-                              escalate_crashes: bool = False,
                               retry_failed: bool = True
                               ) -> VerifyCampaignResult:
     """Verify campaign over an explicit seed range (one shard's worth).
 
     With a :class:`~repro.store.CampaignStore`, already-verified
     ``(seed, cell)`` pairs are loaded back instead of recompiled, and
-    fresh ones are written through — the same resume contract as
-    :func:`~repro.pipeline.matrix.run_matrix_campaign_seeds`, the one
-    dynamic driver.  Evaluation is fault-contained with the same
-    boundary and knobs (quarantined seeds become failure records
-    instead of aborting; ``KeyboardInterrupt`` flushes the store
-    first).
+    fresh ones are written through; evaluation is fault-contained
+    (quarantined seeds become failure records instead of aborting;
+    ``KeyboardInterrupt`` flushes the store first) — the one
+    :func:`~repro.pipeline.units.run_units` loop every driver shares.
     """
-    levels = _resolve_levels(compiler, levels)
-    result = VerifyCampaignResult(
-        family=compiler.family, version=compiler.version,
-        levels=levels, pool_size=seeds.count)
-    run = None
-    if store is not None:
-        run = store.run_id(VERIFY_SCHEMA, compiler.family,
-                           compiler.version, levels)
-    cell = f"{compiler.family}-{compiler.version}"
-    boundary = FailureBoundary(cell, faults=faults,
-                               max_attempts=max_attempts,
-                               crash_base=crash_base,
-                               escalate_crashes=escalate_crashes)
-    try:
-        for seed in seeds.seeds():
-            if run is not None:
-                stored = store.get_result(run, seed)
-                if stored is not None:
-                    result.programs.append(
-                        VerifyProgramResult.from_dict(stored))
-                    continue
-                if not retry_failed:
-                    prior = stored_failure(store, run, seed)
-                    if prior is not None:
-                        result.failures.append(prior)
-                        continue
-
-            def compute(probe, seed=seed):
-                probe("generate")
-                session = FrontendSession(seed)
-                program_result = VerifyProgramResult(
-                    seed=seed, fingerprint=session.fingerprint)
-                for level in levels:
-                    probe("compile")
-                    compilation = compiler.compile_ir(
-                        session.ir_module(), level,
-                        program_token=session.program_token)
-                    probe("verify")
-                    found = verify_compilation(compilation)
-                    program_result.findings[level] = found
-                    fired = compilation.fired_defects()
-                    if fired:
-                        program_result.fired[level] = fired
-                return session, program_result
-            value, record = boundary.evaluate(seed, compute)
-            if value is None:
-                if run is not None:
-                    persist_failure(store, run, record)
-                continue
-            session, program_result = value
-            result.programs.append(program_result)
-            if run is not None:
-                def write(session=session,
-                          program_result=program_result, seed=seed):
-                    store.add_program(seed,
-                                      print_program(session.program))
-                    store.record_module_fingerprint(
-                        seed, session.fingerprint)
-                    store.put_result(run, seed,
-                                     program_result.to_dict())
-                if boundary.store_write(seed, write):
-                    store.clear_failure(run, seed, "")
-    except KeyboardInterrupt:
-        if store is not None:
-            store.checkpoint()
-        raise
-    result.failures = merge_failures(result.failures,
-                                     boundary.failures)
-    return result
+    return run_units(verify_workload(compiler, seeds, levels), store=store,
+                     faults=faults, max_attempts=max_attempts,
+                     retry_failed=retry_failed)
 
 
 def run_verify_campaign(compiler: Compiler, pool_size: int = 100,
@@ -339,41 +301,6 @@ def run_verify_campaign(compiler: Compiler, pool_size: int = 100,
         max_attempts=max_attempts, retry_failed=retry_failed)
 
 
-@dataclass(frozen=True)
-class VerifyShard:
-    """One worker's unit of verify work (fully picklable)."""
-
-    compiler: CompilerSpec
-    seeds: SeedSpec
-    levels: Optional[Tuple[str, ...]] = None
-    store_path: Optional[str] = None
-    faults: Optional[FaultPlan] = None
-    crash_base: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    retry_failed: bool = True
-    escalate_crashes: bool = True
-
-
-def run_verify_shard(shard: VerifyShard) -> VerifyCampaignResult:
-    """Worker entry point: one shard on the memoized toolchain (writing
-    through the shared WAL-mode store when the shard names one).
-    Injected worker death escalates for the supervisor, except in its
-    in-driver rescue run (see
-    :func:`~repro.pipeline.parallel._map_shards`)."""
-    store = _open_store(shard.store_path)
-    try:
-        return run_verify_campaign_seeds(
-            build_cached(shard.compiler), shard.seeds,
-            levels=shard.levels, store=store, faults=shard.faults,
-            max_attempts=shard.max_attempts,
-            crash_base=shard.crash_base,
-            escalate_crashes=shard.escalate_crashes,
-            retry_failed=shard.retry_failed)
-    finally:
-        if store is not None:
-            store.close()
-
-
 def run_verify_campaign_parallel(compiler, pool_size: int = 100,
                                  seed_base: int = 0,
                                  levels: Optional[Sequence[str]] = None,
@@ -391,31 +318,18 @@ def run_verify_campaign_parallel(compiler, pool_size: int = 100,
     Bit-identical to :func:`run_verify_campaign` for the same
     arguments — including under a ``faults`` chaos plan, whose worker
     deaths are supervised with bounded respawns and an in-driver rescue
-    by the same :func:`~repro.pipeline.parallel._map_shards` path as
-    every other sharded driver.
+    by the same :func:`~repro.pipeline.parallel.map_unit_shards` path
+    as every other sharded driver.
     ``workers <= 1`` runs the shards in-process.  ``store_path`` names
     a shared store file every worker writes through (and resumes from)
     with WAL-mode concurrent access.
     """
     compiler_spec = as_compiler_spec(compiler)
-    if workers is None:
-        workers = default_workers()
-    if pool_size == 0:
-        return VerifyCampaignResult(
-            family=compiler_spec.family, version=compiler_spec.version,
-            levels=_resolve_levels(compiler_spec.build(), levels),
-            pool_size=0)
     spec = SeedSpec(base=seed_base, count=pool_size)
-    shard_levels = tuple(levels) if levels is not None else None
-    shards = [
-        VerifyShard(compiler=compiler_spec, seeds=seed_shard,
-                    levels=shard_levels, store_path=store_path,
-                    faults=faults, max_attempts=max_attempts,
-                    retry_failed=retry_failed)
-        for seed_shard in spec.shard(max(1, workers) * SHARDS_PER_WORKER)
-    ]
-    if retry is None:
-        retry = RetryPolicy(max_attempts=max_attempts)
-    return merge_verify_results(
-        _map_shards(run_verify_shard, shards, workers, start_method,
-                    retry=retry, sleeper=sleeper))
+    return merge_verify_results(map_unit_shards(
+        verify_workload,
+        lambda n: [(compiler_spec, seed_shard, levels)
+                   for seed_shard in spec.shard(n)],
+        workers, start_method, store_path=store_path, faults=faults,
+        max_attempts=max_attempts, retry_failed=retry_failed,
+        retry=retry, sleeper=sleeper))

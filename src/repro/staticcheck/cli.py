@@ -21,7 +21,10 @@ import time
 from typing import Optional, Sequence
 
 from ..compilers.compiler import CompilerSpec
-from ..pipeline.cli import add_common_driver_args
+from ..pipeline.cli import (
+    _fault_options, _finish, _run_driver, _write_json,
+    add_common_driver_args, add_toolchain_args, resolve_workers,
+)
 from .campaign import (
     run_verify_campaign, run_verify_campaign_parallel,
 )
@@ -33,25 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Statically verify the debug info of a generated "
                     "program pool at every optimization level and "
                     "write a repro-verify/1 JSON artifact.")
-    parser.add_argument("--family", choices=("gcc", "clang"),
-                        default="gcc", help="compiler family")
-    parser.add_argument("--version", default="trunk",
-                        help="compiler version (default: trunk)")
-    parser.add_argument("--pool-size", type=int, default=100,
-                        help="number of generated programs")
-    parser.add_argument("--seed-base", type=int, default=0,
-                        help="first seed of the campaign range")
-    parser.add_argument("--levels", nargs="+", metavar="LEVEL",
-                        help="optimization levels (default: every level "
-                             "of the family, O0 included)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: CPU count; "
-                             "1 = in-process)")
-    parser.add_argument("--serial", action="store_true",
-                        help="force the serial driver (ignores --workers)")
-    parser.add_argument("--start-method", default="spawn",
-                        choices=("spawn", "fork", "forkserver"),
-                        help="multiprocessing start method")
+    add_toolchain_args(
+        parser, levels_help="optimization levels (default: every level "
+                            "of the family, O0 included)")
     parser.add_argument("--output", metavar="PATH",
                         help="write the verify artifact JSON here")
     add_common_driver_args(parser)
@@ -85,42 +72,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    compiler = CompilerSpec(family=args.family, version=args.version)
-
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    workers = 1 if args.serial else (
-        args.workers if args.workers is not None else None)
-    from ..pipeline.cli import _fault_options, _print_failures
+    workers = resolve_workers(parser, args)
     fault_options = _fault_options(parser, args)
     started = time.perf_counter()
-    if args.serial:
-        from ..pipeline.cli import _open_cli_store
-        store = _open_cli_store(args.store)
-        try:
-            result = run_verify_campaign(
-                compiler.build(), pool_size=args.pool_size,
-                seed_base=args.seed_base, levels=args.levels,
-                store=store, **fault_options)
-        finally:
-            if store is not None:
-                store.close()
-    else:
-        result = run_verify_campaign_parallel(
-            compiler, pool_size=args.pool_size,
-            seed_base=args.seed_base, levels=args.levels,
-            workers=workers, start_method=args.start_method,
-            store_path=args.store, **fault_options)
+    result = _run_driver(
+        args, args.serial, workers,
+        (run_verify_campaign, run_verify_campaign_parallel),
+        CompilerSpec(family=args.family, version=args.version).build(),
+        pool_size=args.pool_size, seed_base=args.seed_base,
+        levels=args.levels, **fault_options)
     elapsed = time.perf_counter() - started
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=args.indent))
-            handle.write("\n")
+    _write_json(args.output, result, args.indent)
 
     if not args.quiet:
         from ..report import format_verify_findings_text
-        mode = "serial" if args.serial or (workers or 0) == 1 else \
+        mode = "serial" if args.serial or args.workers == 1 else \
             "parallel"
         rate = result.pool_size / elapsed if elapsed > 0 else 0.0
         print(f"verify campaign: {result.family}-{result.version}, "
@@ -132,18 +99,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
             print()
             print("Findings per check and level")
             print(format_verify_findings_text(result))
-        if args.output:
-            print()
-            print(f"artifact written to {args.output}")
-    _print_failures(result, args.quiet)
-    if args.report:
-        from ..report.manifest import render_all
-        from ..report.renderers import DEFAULT_FORMATS
-        render_all([result], args.report,
-                   formats=args.report_formats or DEFAULT_FORMATS)
-        if not args.quiet:
-            print(f"report written to {args.report}/manifest.json")
-    return 0
+    return _finish(result, args, args.report_formats)
 
 
 if __name__ == "__main__":

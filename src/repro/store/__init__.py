@@ -2,8 +2,9 @@
 
 :class:`CampaignStore` is the durable write-through backing of every
 campaign driver — ``run_campaign`` / ``run_matrix_campaign`` /
-``run_verify_campaign`` / ``run_reduction_campaign`` accept one and skip
-already-evaluated (seed, cell) pairs, so re-running an interrupted or
+``run_verify_campaign`` / ``run_reduction_campaign`` /
+``run_bisect_campaign`` accept one and skip already-evaluated units
+(a seed, or a witness of a seed), so re-running an interrupted or
 extended campaign only compiles the delta while producing results
 bit-identical to an uninterrupted serial run.  The ``repro-db`` console
 script (:mod:`repro.store.cli`) creates stores, ingests existing JSON

@@ -11,7 +11,8 @@ out, and inspect what is inside::
     repro-db stats store.sqlite
 
 The campaign drivers write through the same file live (``--store`` on
-``repro-campaign`` / ``repro-verify`` / ``repro-reduce``), so ``export``
+``repro-campaign`` / ``repro-verify`` / ``repro-reduce`` /
+``repro-bisect``), so ``export``
 of a finished — or interrupted — run reproduces exactly the artifact the
 driver would have serialized, and ``ingest`` followed by ``export``
 round-trips an artifact byte for byte.
@@ -30,7 +31,7 @@ from .db import CampaignStore, StoreError
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-db",
-        description="Manage a repro-db/1 persistent campaign store "
+        description="Manage a repro-db/2 persistent campaign store "
                     "(see docs/ARTIFACTS.md).")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -81,11 +82,7 @@ def _describe(store: CampaignStore, info) -> str:
         extras.append(info.debugger)
     if info.engine:
         extras.append(f"engine {info.engine}")
-    if info.schema == "repro-reduce/1":
-        rows = len(store.reduction_payloads(info.id))
-        extras.append(f"{rows} records")
-    else:
-        extras.append(f"{store.result_count(info.id)} seeds")
+    extras.append(f"{store.result_count(info.id)} results")
     return (f"run {info.id}: {info.schema} {info.family}-"
             f"{info.version} ({', '.join(extras)})")
 
@@ -169,8 +166,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
                 summary["runs_per_schema"].items()):
             print(f"  runs[{schema}]: {count}")
         print(f"  results: {tables['results']} over "
-              f"{tables['programs']} stored programs, "
-              f"{tables['reductions']} reduction records")
+              f"{tables['programs']} stored programs")
         print(f"  module fingerprints: "
               f"{tables['module_fingerprints']}")
         stored = summary["blob_bytes_stored"]

@@ -5,12 +5,12 @@ artifact at the end; at ROADMAP scale (millions of programs) a crashed
 30-minute campaign loses everything.  :class:`CampaignStore` is the
 durable backing the drivers write through instead — modeled on
 DeadCodeProductions/diopter's ``database.py``: content-hash dedup of
-every stored text (program witnesses, per-seed result payloads, reduced
-programs) in one zlib-compressed blob table, keyed lookups by
+every stored text (program witnesses, per-unit result payloads) in one
+zlib-compressed blob table, keyed lookups by
 ``seed_fingerprint`` / ``module_fingerprint``, and WAL-mode connections
 so sharded workers can write the same file concurrently.
 
-Layout (schema tag ``repro-db/1``; field-by-field spec in
+Layout (schema tag ``repro-db/2``; field-by-field spec in
 ``docs/ARTIFACTS.md``):
 
 =====================  ======================================================
@@ -22,13 +22,13 @@ Layout (schema tag ``repro-db/1``; field-by-field spec in
 ``module_fingerprints``  seed -> counter-normalized lowered-module digest
 ``runs``               one row per campaign cell: (schema, family, version,
                        debugger, engine, sorted level set) is the identity
-``results``            (run, seed) -> per-program payload blob — the unit of
-                       resume for campaign / matrix-cell / verify runs
-``reductions``         (run, seed, level, conjecture, variable) -> reduction
-                       record blob + deduplicated reduced-program blob
-``bisections``         (run, witness fingerprint) -> one witness's bisected
-                       version windows (records + probe accounting) — the
-                       unit of resume for bisection campaigns
+``results``            (run, seed, key) -> one unit's payload blob, plus the
+                       ``position`` export replays — the unit of resume for
+                       every driver: a seed (key ``""``, position = seed)
+                       for campaign / matrix-cell / verify runs, a witness
+                       for reduction (key ``level/conjecture/variable``) and
+                       bisection (key = witness fingerprint) runs, whose
+                       position is the witness's enumeration index
 ``failures``           (run, seed, item key) -> quarantined failure record
                        blob (see :mod:`repro.faults`) — what a resumed run
                        retries; created on demand in pre-failure stores
@@ -50,11 +50,12 @@ import json
 import sqlite3
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Store schema tag; bump only with a migration path in ``_check_schema``.
-DB_SCHEMA = "repro-db/1"
+#: Store schema tag; ``_check_schema`` rejects every other tag (a
+#: ``repro-db/1`` store's per-kind tables are not read by this build).
+DB_SCHEMA = "repro-db/2"
 
 #: Bounded retry budget for ``database is locked`` write contention
 #: (beyond sqlite's own ``busy_timeout``, which covers page-level
@@ -105,19 +106,10 @@ CREATE TABLE IF NOT EXISTS runs (
 CREATE TABLE IF NOT EXISTS results (
     run_id       INTEGER NOT NULL REFERENCES runs(id),
     seed         INTEGER NOT NULL,
-    payload_hash TEXT NOT NULL REFERENCES blobs(hash),
-    PRIMARY KEY (run_id, seed)
-);
-CREATE TABLE IF NOT EXISTS reductions (
-    run_id       INTEGER NOT NULL REFERENCES runs(id),
-    seed         INTEGER NOT NULL,
-    level        TEXT NOT NULL,
-    conjecture   TEXT NOT NULL,
-    variable     TEXT NOT NULL,
+    key          TEXT NOT NULL DEFAULT '',
     position     INTEGER NOT NULL,
     payload_hash TEXT NOT NULL REFERENCES blobs(hash),
-    source_hash  TEXT NOT NULL REFERENCES blobs(hash),
-    PRIMARY KEY (run_id, seed, level, conjecture, variable)
+    PRIMARY KEY (run_id, seed, key)
 );
 CREATE TABLE IF NOT EXISTS failures (
     run_id       INTEGER NOT NULL REFERENCES runs(id),
@@ -125,14 +117,6 @@ CREATE TABLE IF NOT EXISTS failures (
     key          TEXT NOT NULL DEFAULT '',
     payload_hash TEXT NOT NULL REFERENCES blobs(hash),
     PRIMARY KEY (run_id, seed, key)
-);
-CREATE TABLE IF NOT EXISTS bisections (
-    run_id       INTEGER NOT NULL REFERENCES runs(id),
-    witness_fp   TEXT NOT NULL,
-    seed         INTEGER NOT NULL,
-    position     INTEGER NOT NULL,
-    payload_hash TEXT NOT NULL REFERENCES blobs(hash),
-    PRIMARY KEY (run_id, witness_fp)
 );
 CREATE TABLE IF NOT EXISTS jobs (
     job_id TEXT PRIMARY KEY,
@@ -212,12 +196,8 @@ class StoreStats:
     ``OracleStats`` of the persistence layer; the resume tests assert
     zero re-compiles through these counters)."""
 
-    hits: int = 0            # (run, seed) results served from the store
-    misses: int = 0          # results evaluated live and written
-    reductions_reused: int = 0
-    reductions_stored: int = 0
-    bisections_reused: int = 0
-    bisections_stored: int = 0
+    hits: int = 0            # units served from the store
+    misses: int = 0          # units evaluated live and written
     programs_added: int = 0
     blob_inserts: int = 0
     blob_reuses: int = 0     # content-hash dedup: text already present
@@ -225,19 +205,7 @@ class StoreStats:
     failures_cleared: int = 0    # quarantined pairs retried successfully
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "reductions_reused": self.reductions_reused,
-            "reductions_stored": self.reductions_stored,
-            "bisections_reused": self.bisections_reused,
-            "bisections_stored": self.bisections_stored,
-            "programs_added": self.programs_added,
-            "blob_inserts": self.blob_inserts,
-            "blob_reuses": self.blob_reuses,
-            "failures_recorded": self.failures_recorded,
-            "failures_cleared": self.failures_cleared,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -525,52 +493,58 @@ class CampaignStore:
         return [self._run_info(row) for row in self._conn.execute(
             "SELECT * FROM runs ORDER BY id")]
 
-    # -- per-seed results ----------------------------------------------------
+    # -- per-unit results ----------------------------------------------------
 
-    def get_result(self, run_id: int, seed: int
+    def get_result(self, run_id: int, seed: int, key: str = ""
                    ) -> Optional[Dict[str, object]]:
-        """The stored per-program payload for ``(run, seed)``, or None
-        if the pair has not been evaluated yet (counted as a hit only
-        when present)."""
+        """The stored payload of one unit — ``(run, seed)`` plus the
+        unit's ``key`` (empty for a whole seed) — or None if it has not
+        been evaluated yet (counted as a hit only when present)."""
         row = self._conn.execute(
             "SELECT payload_hash FROM results"
-            " WHERE run_id = ? AND seed = ?", (run_id, seed)).fetchone()
+            " WHERE run_id = ? AND seed = ? AND key = ?",
+            (run_id, seed, key)).fetchone()
         if row is None:
             return None
         self.stats.hits += 1
         return json.loads(self._blob_text(row["payload_hash"]))
 
-    def has_result(self, run_id: int, seed: int) -> bool:
+    def has_result(self, run_id: int, seed: int, key: str = "") -> bool:
         return self._conn.execute(
-            "SELECT 1 FROM results WHERE run_id = ? AND seed = ?",
-            (run_id, seed)).fetchone() is not None
+            "SELECT 1 FROM results WHERE run_id = ? AND seed = ?"
+            " AND key = ?", (run_id, seed, key)).fetchone() is not None
 
     @_retries_busy
     def put_result(self, run_id: int, seed: int,
-                   payload: Dict[str, object]) -> None:
-        """Record one evaluated ``(run, seed)`` pair (idempotent for an
-        identical payload; a divergent payload is an error)."""
+                   payload: Dict[str, object], key: str = "",
+                   position: Optional[int] = None) -> None:
+        """Record one evaluated unit (idempotent for an identical
+        payload; a divergent payload is an error).  ``position`` orders
+        the run's rows on export and defaults to the seed."""
         text = canonical_json(payload)
         existing = self._conn.execute(
             "SELECT payload_hash FROM results"
-            " WHERE run_id = ? AND seed = ?", (run_id, seed)).fetchone()
+            " WHERE run_id = ? AND seed = ? AND key = ?",
+            (run_id, seed, key)).fetchone()
         if existing is not None:
             if existing["payload_hash"] != text_digest(text):
+                unit = f"seed {seed}" + (f" key {key}" if key else "")
                 raise StoreError(
-                    f"run {run_id} seed {seed} already stored with a "
+                    f"run {run_id} {unit} already stored with a "
                     f"different payload: non-deterministic evaluation?")
             return
         with self._conn:
             payload_hash = self._put_blob(text)
             self._conn.execute(
-                "INSERT OR IGNORE INTO results VALUES (?, ?, ?)",
-                (run_id, seed, payload_hash))
+                "INSERT OR IGNORE INTO results VALUES (?, ?, ?, ?, ?)",
+                (run_id, seed, key,
+                 seed if position is None else position, payload_hash))
         self.stats.misses += 1
 
     def seeds_evaluated(self, run_id: int) -> List[int]:
         return [row["seed"] for row in self._conn.execute(
-            "SELECT seed FROM results WHERE run_id = ? ORDER BY seed",
-            (run_id,))]
+            "SELECT DISTINCT seed FROM results WHERE run_id = ?"
+            " ORDER BY seed", (run_id,))]
 
     def result_count(self, run_id: int) -> int:
         return self._conn.execute(
@@ -698,215 +672,73 @@ class CampaignStore:
                 for row in rows
                 if not states or row["state"] in states]
 
-    # -- reduction records ---------------------------------------------------
-
-    def get_reduction(self, run_id: int, seed: int, level: str,
-                      conjecture: str, variable: str
-                      ) -> Optional[Dict[str, object]]:
-        """The stored reduction payload for one witness (the record
-        dict, ``reduced_source`` re-attached from its dedup blob)."""
-        row = self._conn.execute(
-            "SELECT payload_hash, source_hash FROM reductions"
-            " WHERE run_id = ? AND seed = ? AND level = ?"
-            " AND conjecture = ? AND variable = ?",
-            (run_id, seed, level, conjecture, variable)).fetchone()
-        if row is None:
-            return None
-        payload = json.loads(self._blob_text(row["payload_hash"]))
-        payload["reduced_source"] = self._blob_text(row["source_hash"])
-        self.stats.reductions_reused += 1
-        return payload
-
-    @_retries_busy
-    def put_reduction(self, run_id: int, seed: int, level: str,
-                      conjecture: str, variable: str, position: int,
-                      payload: Dict[str, object]) -> None:
-        """Record one reduced witness.  ``payload`` is the record dict
-        (``reduced_source`` included — it is split off and stored
-        content-deduplicated); ``position`` is the witness's index in
-        the deterministic enumeration order, which export replays."""
-        payload = dict(payload)
-        source = payload.pop("reduced_source")
-        text = canonical_json(payload)
-        existing = self._conn.execute(
-            "SELECT payload_hash, source_hash FROM reductions"
-            " WHERE run_id = ? AND seed = ? AND level = ?"
-            " AND conjecture = ? AND variable = ?",
-            (run_id, seed, level, conjecture, variable)).fetchone()
-        if existing is not None:
-            if (existing["payload_hash"] != text_digest(text)
-                    or existing["source_hash"] != text_digest(source)):
-                raise StoreError(
-                    f"run {run_id} witness ({seed}, {level}, "
-                    f"{conjecture}, {variable}) already stored with a "
-                    f"different reduction")
-            return
-        with self._conn:
-            payload_hash = self._put_blob(text)
-            source_hash = self._put_blob(source)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO reductions"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (run_id, seed, level, conjecture, variable, position,
-                 payload_hash, source_hash))
-        self.stats.reductions_stored += 1
-
-    def reduction_payloads(self, run_id: int) -> List[Dict[str, object]]:
-        """Every stored reduction payload of the run, in enumeration
-        (``position``) order, ``reduced_source`` re-attached."""
-        out = []
-        for row in self._conn.execute(
-                "SELECT payload_hash, source_hash FROM reductions"
-                " WHERE run_id = ? ORDER BY position", (run_id,)):
-            payload = json.loads(self._blob_text(row["payload_hash"]))
-            payload["reduced_source"] = self._blob_text(
-                row["source_hash"])
-            out.append(payload)
-        return out
-
-    # -- bisection records ---------------------------------------------------
-
-    def get_bisection(self, run_id: int, witness_fp: str
-                      ) -> Optional[Dict[str, object]]:
-        """The stored bisection payload for one witness fingerprint
-        (``witness``/``records``/``stats`` dict), or None."""
-        row = self._conn.execute(
-            "SELECT payload_hash FROM bisections"
-            " WHERE run_id = ? AND witness_fp = ?",
-            (run_id, witness_fp)).fetchone()
-        if row is None:
-            return None
-        self.stats.bisections_reused += 1
-        return json.loads(self._blob_text(row["payload_hash"]))
-
-    @_retries_busy
-    def put_bisection(self, run_id: int, witness_fp: str, seed: int,
-                      position: int,
-                      payload: Dict[str, object]) -> None:
-        """Record one bisected witness (idempotent for an identical
-        payload; a divergent payload is a determinism violation).
-        ``position`` is the witness's index in the deterministic
-        enumeration order, which export replays."""
-        text = canonical_json(payload)
-        existing = self._conn.execute(
-            "SELECT payload_hash FROM bisections"
-            " WHERE run_id = ? AND witness_fp = ?",
-            (run_id, witness_fp)).fetchone()
-        if existing is not None:
-            if existing["payload_hash"] != text_digest(text):
-                raise StoreError(
-                    f"run {run_id} witness {witness_fp} already stored "
-                    f"with a different bisection: non-deterministic "
-                    f"probing?")
-            return
-        with self._conn:
-            payload_hash = self._put_blob(text)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO bisections"
-                " VALUES (?, ?, ?, ?, ?)",
-                (run_id, witness_fp, seed, position, payload_hash))
-        self.stats.bisections_stored += 1
-
-    def bisection_payloads(self, run_id: int) -> List[Dict[str, object]]:
-        """Every stored bisection payload of the run, in enumeration
-        (``position``) order."""
-        return [json.loads(self._blob_text(row["payload_hash"]))
-                for row in self._conn.execute(
-                    "SELECT payload_hash FROM bisections"
-                    " WHERE run_id = ? ORDER BY position, witness_fp",
-                    (run_id,))]
-
     # -- artifact export -----------------------------------------------------
 
     def load_run(self, run_id: int):
         """Rebuild the typed result a run's rows represent (the exact
         value the matching driver would return)."""
-        from ..bisect.campaign import BISECT_SCHEMA
-        from ..pipeline.campaign import CAMPAIGN_SCHEMA
-        from ..pipeline.reduction import REDUCE_SCHEMA
-        from ..staticcheck.campaign import VERIFY_SCHEMA
-        info = self.run_info(run_id)
-        if info.schema == CAMPAIGN_SCHEMA:
-            return self._load_campaign(info)
-        if info.schema == VERIFY_SCHEMA:
-            return self._load_verify(info)
-        if info.schema == REDUCE_SCHEMA:
-            return self._load_reduction(info)
-        if info.schema == BISECT_SCHEMA:
-            return self._load_bisection(info)
-        raise StoreError(f"run {run_id} has unloadable schema "
-                         f"{info.schema!r}")
+        return self._load(self.run_info(run_id))
 
     def _result_payloads(self, run_id: int) -> List[Dict[str, object]]:
+        """Every stored payload of the run in export order: by seed,
+        then ``position`` (a sharded run numbers witnesses per program
+        slice, and slices never split a seed)."""
         return [json.loads(self._blob_text(row["payload_hash"]))
                 for row in self._conn.execute(
                     "SELECT payload_hash FROM results WHERE run_id = ?"
-                    " ORDER BY seed", (run_id,))]
+                    " ORDER BY seed, position, key", (run_id,))]
 
-    def _run_failures(self, run_id: int):
-        """The run's quarantine records as typed, sorted
-        :class:`~repro.faults.records.FailureRecord` values — the form
-        the drivers keep on their results, so a loaded run compares
-        equal to the live one."""
+    def _load(self, info: RunInfo):
+        from ..bisect.campaign import (
+            BISECT_SCHEMA, BisectCampaignResult, bisect_records,
+        )
         from ..faults.records import FailureRecord
-        return sorted(FailureRecord.from_dict(payload)
-                      for payload in self.failures_for(run_id))
-
-    def _load_campaign(self, info: RunInfo):
-        from ..pipeline.campaign import CampaignResult, ProgramResult
-        programs = [ProgramResult.from_dict(payload)
-                    for payload in self._result_payloads(info.id)]
-        pool_size = info.attrs.get("pool_size", len(programs))
-        return CampaignResult(
-            family=info.family, version=info.version,
-            levels=list(info.levels), pool_size=pool_size,
-            programs=programs, failures=self._run_failures(info.id))
-
-    def _load_verify(self, info: RunInfo):
-        from ..staticcheck.campaign import (
-            VerifyCampaignResult, VerifyProgramResult,
+        from ..pipeline.campaign import (
+            CAMPAIGN_SCHEMA, CampaignResult, ProgramResult,
         )
-        programs = [VerifyProgramResult.from_dict(payload)
-                    for payload in self._result_payloads(info.id)]
-        pool_size = info.attrs.get("pool_size", len(programs))
-        return VerifyCampaignResult(
-            family=info.family, version=info.version,
-            levels=list(info.levels), pool_size=pool_size,
-            programs=programs, failures=self._run_failures(info.id))
-
-    def _load_reduction(self, info: RunInfo):
         from ..pipeline.reduction import (
-            ReductionCampaignResult, ReductionRecord,
+            REDUCE_SCHEMA, ReductionCampaignResult, ReductionRecord,
         )
-        records = []
-        totals: Dict[str, int] = {}
-        for payload in self.reduction_payloads(info.id):
-            for key, value in payload.pop("stats", {}).items():
-                totals[key] = totals.get(key, 0) + value
-            records.append(ReductionRecord.from_dict(payload))
-        stats = info.attrs.get("stats", totals)
-        return ReductionCampaignResult(
-            family=info.family, version=info.version,
-            debugger=info.debugger, engine=info.engine,
-            pool_size=info.attrs.get("pool_size", 0),
-            records=records, stats=dict(stats),
-            failures=self._run_failures(info.id))
-
-    def _load_bisection(self, info: RunInfo):
-        from ..bisect.campaign import BisectCampaignResult, BisectRecord
-        records = []
-        totals: Dict[str, int] = {}
-        for payload in self.bisection_payloads(info.id):
-            for key, value in payload.get("stats", {}).items():
-                totals[key] = totals.get(key, 0) + value
-            records.extend(BisectRecord.from_dict(r)
-                           for r in payload["records"])
-        stats = info.attrs.get("stats", totals)
-        return BisectCampaignResult(
-            family=info.family, version=info.version,
-            pool_size=info.attrs.get("pool_size", 0),
-            records=records, stats=dict(stats),
-            failures=self._run_failures(info.id))
+        from ..pipeline.units import payload_stats
+        from ..staticcheck.campaign import (
+            VERIFY_SCHEMA, VerifyCampaignResult, VerifyProgramResult,
+        )
+        payloads = self._result_payloads(info.id)
+        # Typed and sorted, the form the drivers keep on their results,
+        # so a loaded run compares equal to the live one.
+        failures = sorted(FailureRecord.from_dict(payload)
+                          for payload in self.failures_for(info.id))
+        seeded = {CAMPAIGN_SCHEMA: (CampaignResult, ProgramResult),
+                  VERIFY_SCHEMA: (VerifyCampaignResult,
+                                  VerifyProgramResult)}
+        if info.schema in seeded:
+            result_type, program_type = seeded[info.schema]
+            return result_type(
+                family=info.family, version=info.version,
+                levels=list(info.levels),
+                pool_size=info.attrs.get("pool_size", len(payloads)),
+                programs=[program_type.from_dict(payload)
+                          for payload in payloads],
+                failures=failures)
+        # Ingested witness artifacts carry only the aggregate stats,
+        # kept on the run; live rows carry per-witness shares.
+        stats = dict(info.attrs.get("stats", payload_stats(payloads)))
+        pool_size = info.attrs.get("pool_size", 0)
+        if info.schema == REDUCE_SCHEMA:
+            return ReductionCampaignResult(
+                family=info.family, version=info.version,
+                debugger=info.debugger, engine=info.engine,
+                pool_size=pool_size,
+                records=[ReductionRecord.from_dict(payload)
+                         for payload in payloads],
+                stats=stats, failures=failures)
+        if info.schema == BISECT_SCHEMA:
+            return BisectCampaignResult(
+                family=info.family, version=info.version,
+                pool_size=pool_size, records=bisect_records(payloads),
+                stats=stats, failures=failures)
+        raise StoreError(f"run {info.id} has unloadable schema "
+                         f"{info.schema!r}")
 
     def export_matrix(self, run_ids: Optional[Iterable[int]] = None):
         """Assemble a :class:`~repro.pipeline.matrix.MatrixCampaignResult`
@@ -952,7 +784,7 @@ class CampaignStore:
                 raise StoreError(
                     f"two stored cells share the matrix key {key}; "
                     f"pass run_ids to disambiguate")
-            matrix.cells[key] = self._load_campaign(info)
+            matrix.cells[key] = self._load(info)
         return matrix
 
     # -- artifact ingest -----------------------------------------------------
@@ -968,25 +800,29 @@ class CampaignStore:
         cell a live run would resume.
         """
         from ..bisect.campaign import BisectCampaignResult
-        from ..pipeline.campaign import CampaignResult
+        from ..pipeline.campaign import CAMPAIGN_SCHEMA, CampaignResult
         from ..pipeline.matrix import MatrixCampaignResult
         from ..pipeline.reduction import ReductionCampaignResult
-        from ..staticcheck.campaign import VerifyCampaignResult
+        from ..staticcheck.campaign import (
+            VERIFY_SCHEMA, VerifyCampaignResult,
+        )
         if isinstance(artifact, CampaignResult):
-            return [self._ingest_campaign(artifact, debugger)]
+            return [self._ingest_programs(CAMPAIGN_SCHEMA, artifact,
+                                          debugger)]
         if isinstance(artifact, BisectCampaignResult):
             return [self._ingest_bisect(artifact)]
         if isinstance(artifact, MatrixCampaignResult):
             run_ids = []
             for (family, version, cell_debugger) in artifact.cell_keys():
-                run_ids.append(self._ingest_campaign(
+                run_ids.append(self._ingest_programs(
+                    CAMPAIGN_SCHEMA,
                     artifact.cells[(family, version, cell_debugger)],
                     cell_debugger))
             for seed, fingerprint in artifact.fingerprints.items():
                 self.record_module_fingerprint(seed, fingerprint)
             return run_ids
         if isinstance(artifact, VerifyCampaignResult):
-            return [self._ingest_verify(artifact)]
+            return [self._ingest_programs(VERIFY_SCHEMA, artifact)]
         if isinstance(artifact, ReductionCampaignResult):
             return [self._ingest_reduction(artifact)]
         raise StoreError(
@@ -994,52 +830,43 @@ class CampaignStore:
             f"campaign store (supported: campaign, matrix, verify, "
             f"reduction, bisect results)")
 
-    def _ingest_campaign(self, campaign, debugger: str) -> int:
-        from ..pipeline.campaign import CAMPAIGN_SCHEMA
-        attrs = {}
-        if campaign.pool_size != len(campaign.programs):
-            attrs["pool_size"] = campaign.pool_size
-        run = self.run_id(CAMPAIGN_SCHEMA, campaign.family,
-                          campaign.version, campaign.levels,
-                          debugger=debugger, attrs=attrs)
-        for program in campaign.programs:
-            self.put_result(run, program.seed, program.to_dict())
-        for record in campaign.failures:
+    def _ingest_failures(self, run: int, failures) -> None:
+        for record in failures:
             self.put_failure(run, record.seed, record.item,
                              record.to_dict())
-        return run
 
-    def _ingest_verify(self, campaign) -> int:
-        from ..staticcheck.campaign import VERIFY_SCHEMA
+    def _ingest_programs(self, schema: str, campaign,
+                         debugger: str = "") -> int:
+        """A campaign or verify artifact: one seed row per program."""
         attrs = {}
         if campaign.pool_size != len(campaign.programs):
             attrs["pool_size"] = campaign.pool_size
-        run = self.run_id(VERIFY_SCHEMA, campaign.family,
-                          campaign.version, campaign.levels,
-                          attrs=attrs)
+        run = self.run_id(schema, campaign.family, campaign.version,
+                          campaign.levels, debugger=debugger, attrs=attrs)
         for program in campaign.programs:
             self.put_result(run, program.seed, program.to_dict())
-            if program.fingerprint:
+            # Verify programs carry their lowered-module fingerprint.
+            if getattr(program, "fingerprint", ""):
                 self.record_module_fingerprint(program.seed,
                                                program.fingerprint)
-        for record in campaign.failures:
-            self.put_failure(run, record.seed, record.item,
-                             record.to_dict())
+        self._ingest_failures(run, campaign.failures)
         return run
 
     def _ingest_reduction(self, reduction) -> int:
-        from ..pipeline.reduction import REDUCE_SCHEMA
+        from ..pipeline.reduction import REDUCE_SCHEMA, witness_item
+        from ..pipeline.units import seed_positions
         run = self.run_id(
             REDUCE_SCHEMA, reduction.family, reduction.version, (),
             debugger=reduction.debugger, engine=reduction.engine,
             attrs={"pool_size": reduction.pool_size})
-        for position, record in enumerate(reduction.records):
-            self.put_reduction(
-                run, record.seed, record.level, record.conjecture,
-                record.variable, position, record.to_dict())
-        for record in reduction.failures:
-            self.put_failure(run, record.seed, record.item,
-                             record.to_dict())
+        positions = seed_positions(r.seed for r in reduction.records)
+        for record, position in zip(reduction.records, positions):
+            self.put_result(
+                run, record.seed, record.to_dict(),
+                key=witness_item(record.level, record.conjecture,
+                                 record.variable),
+                position=position)
+        self._ingest_failures(run, reduction.failures)
         # Ingested artifacts carry only the aggregate stats; keep them
         # on the run so export reproduces the document exactly.
         self.set_run_attrs(run, stats=dict(reduction.stats))
@@ -1053,6 +880,7 @@ class CampaignStore:
         is lowered here (a frontend-only cost, paid once per seed and
         recorded, so later live runs resume for free)."""
         from ..bisect.campaign import BISECT_SCHEMA, witness_fingerprint
+        from ..pipeline.units import seed_positions
         run = self.run_id(BISECT_SCHEMA, result.family, result.version,
                           ())
         groups: Dict[Tuple[int, str, str, str], List] = {}
@@ -1061,7 +889,8 @@ class CampaignStore:
                    record.variable)
             groups.setdefault(key, []).append(record)
         module_fps: Dict[int, str] = {}
-        for position, (key, records) in enumerate(groups.items()):
+        positions = seed_positions(seed for seed, *_ in groups)
+        for (key, records), position in zip(groups.items(), positions):
             seed, level, conjecture, variable = key
             module_fp = module_fps.get(seed)
             if module_fp is None:
@@ -1073,15 +902,13 @@ class CampaignStore:
             module_fps[seed] = module_fp
             fingerprint = witness_fingerprint(module_fp, level,
                                               conjecture, variable)
-            self.put_bisection(run, fingerprint, seed, position, {
+            self.put_result(run, seed, {
                 "witness": {"seed": seed, "level": level,
                             "conjecture": conjecture,
                             "variable": variable},
                 "records": [r.to_dict() for r in records],
-            })
-        for record in result.failures:
-            self.put_failure(run, record.seed, record.item,
-                             record.to_dict())
+            }, key=fingerprint, position=position)
+        self._ingest_failures(run, result.failures)
         # Ingested artifacts carry only the aggregate stats; keep them
         # on the run so export reproduces the document exactly.
         self.set_run_attrs(run, stats=dict(result.stats),
@@ -1095,8 +922,7 @@ class CampaignStore:
         table, compressed vs raw blob bytes, dedup savings."""
         counts = {}
         for table in ("blobs", "programs", "module_fingerprints",
-                      "runs", "results", "reductions", "bisections",
-                      "failures", "jobs"):
+                      "runs", "results", "failures", "jobs"):
             counts[table] = self._conn.execute(
                 f"SELECT COUNT(*) AS n FROM {table}").fetchone()["n"]
         sizes = self._conn.execute(
@@ -1105,9 +931,7 @@ class CampaignStore:
         references = self._conn.execute(
             "SELECT (SELECT COUNT(*) FROM results)"
             " + (SELECT COUNT(*) FROM programs)"
-            " + (SELECT COUNT(*) FROM failures)"
-            " + (SELECT COUNT(*) FROM bisections)"
-            " + 2 * (SELECT COUNT(*) FROM reductions) AS n").fetchone()
+            " + (SELECT COUNT(*) FROM failures) AS n").fetchone()
         per_schema: Dict[str, int] = {}
         for row in self._conn.execute(
                 "SELECT schema, COUNT(*) AS n FROM runs GROUP BY schema"):

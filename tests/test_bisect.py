@@ -297,12 +297,12 @@ def test_store_resume_bit_identical_zero_recompiles(
     reference = small_bisect.to_json(indent=2)
     with CampaignStore(db) as store:
         first = run_bisect_campaign(small_campaign, store=store)
-        assert store.stats.bisections_stored == first.witnesses
+        assert store.stats.misses == first.witnesses
     assert first.to_json(indent=2) == reference
     before = compile_counter["count"]
     with CampaignStore(db) as store:
         resumed = run_bisect_campaign(small_campaign, store=store)
-        assert store.stats.bisections_reused == first.witnesses
+        assert store.stats.hits == first.witnesses
         run = store.run_id(BISECT_SCHEMA, small_campaign.family,
                            small_campaign.version, ())
         replayed = store.load_run(run)

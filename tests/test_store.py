@@ -1,4 +1,4 @@
-"""Persistent campaign store (``repro-db/1``) tests.
+"""Persistent campaign store (``repro-db/2``) tests.
 
 Pins the contracts the store subsystem is built on:
 
@@ -25,6 +25,7 @@ Pins the contracts the store subsystem is built on:
 import dataclasses
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -124,6 +125,51 @@ def test_put_result_conflict_is_an_error(tmp_path):
         # let a diverged worker corrupt the campaign).
         with pytest.raises(StoreError, match="different payload"):
             store.put_result(run, 7, {"seed": 7, "violations": {"O2": []}})
+
+
+def test_unit_keys_share_a_seed_and_conflict_per_key(tmp_path):
+    """One results table holds every unit: rows of one ``(run, seed)``
+    under different keys coexist, a divergent payload under the same
+    key is an error, and export orders by seed, then position."""
+    with CampaignStore(str(tmp_path / "s.sqlite")) as store:
+        run = store.run_id("repro-reduce/1", "gcc", "trunk", ())
+        store.put_result(run, 5, {"witness": "b"}, key="O2/C1/b",
+                         position=1)
+        store.put_result(run, 5, {"witness": "a"}, key="O2/C1/a",
+                         position=0)
+        store.put_result(run, 2, {"witness": "c"}, key="O1/C2/c",
+                         position=0)
+        assert store.get_result(run, 5, "O2/C1/a") == {"witness": "a"}
+        assert store.get_result(run, 5, "O2/C1/b") == {"witness": "b"}
+        assert store.get_result(run, 5) is None
+        assert store.has_result(run, 5, "O2/C1/b")
+        assert not store.has_result(run, 5)
+        assert store.result_count(run) == 3
+        assert store.seeds_evaluated(run) == [2, 5]
+        assert [p["witness"] for p in store._result_payloads(run)] == \
+            ["c", "a", "b"]
+        store.put_result(run, 5, {"witness": "a"}, key="O2/C1/a",
+                         position=0)
+        with pytest.raises(StoreError, match="key O2/C1/a"):
+            store.put_result(run, 5, {"witness": "z"}, key="O2/C1/a",
+                             position=0)
+
+
+def test_repro_db_1_store_is_rejected(tmp_path):
+    path = str(tmp_path / "old.sqlite")
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY,"
+                     " value TEXT NOT NULL)")
+        conn.execute("INSERT INTO meta VALUES ('schema', 'repro-db/1')")
+        conn.execute("CREATE TABLE results (run_id INTEGER NOT NULL,"
+                     " seed INTEGER NOT NULL, payload_hash TEXT NOT NULL,"
+                     " PRIMARY KEY (run_id, seed))")
+    conn.close()
+    with pytest.raises(StoreError) as error:
+        CampaignStore(path)
+    assert "'repro-db/1'" in str(error.value)
+    assert "'repro-db/2'" in str(error.value)
 
 
 def test_program_and_fingerprint_bookkeeping(tmp_path):
@@ -299,7 +345,7 @@ def test_reduce_resume_bit_identical_and_incremental(
     with CampaignStore(db) as store:
         resumed = run_reduction_campaign(serial_gcc, debugger=GdbLike(),
                                          store=store)
-        assert store.stats.reductions_reused == 1
+        assert store.stats.hits == 1
     assert resumed.to_json(indent=2) == serial_reduce.to_json(indent=2)
     # A fully stored reduction replays with zero compiles (no triage,
     # no oracle candidates).
@@ -519,7 +565,7 @@ def test_db_cli_init_list_stats(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "no runs stored"
     summary = json.loads("\n".join(lines[2:]))
-    assert summary["schema"] == "repro-db/1"
+    assert summary["schema"] == "repro-db/2"
     assert summary["tables"]["runs"] == 0
 
 
