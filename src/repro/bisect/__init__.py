@@ -6,7 +6,8 @@ release axis (``GCC_VERSIONS`` / ``CLANG_VERSIONS``) for the first-bad
 and last-good version of every fired defect, reusing the witness's
 :class:`~repro.compilers.frontend.FrontendSession` so each probe is a
 backend-only recompile.  Probe verdicts are memoized per
-``(version, level)``; non-monotone defect histories (a defect alive
+``(version, level)``, and single-defect probes are read off one
+defect-free compile's hook-query log per pipeline; non-monotone defect histories (a defect alive
 only in a middle segment of the axis) are handled by an oldest-first
 segment scan before the boundary search.
 

@@ -14,12 +14,14 @@ backend-only probes over the family's release axis:
   are memoized by ``(module_fingerprint, version)`` per level.  Two
   probe kinds: *full* probes run the version's whole defect catalog (a
   realistic compile — the discovery signal), while *isolated* probes
-  compile with a single defect active, so the firing question a
-  boundary search asks is free of cross-defect interference (an active
-  defect mutates debug info, which can mask or expose another defect's
-  hook downstream — full-compile windows would then depend on which
-  *other* defects each version carries, not on the defect under
-  bisection).
+  ask whether one defect fires with every other defect disabled, so the
+  firing question a boundary search asks is free of cross-defect
+  interference (an active defect mutates debug info, which can mask or
+  expose another defect's hook downstream — full-compile windows would
+  then depend on which *other* defects each version carries, not on the
+  defect under bisection).  Isolated probes compile nothing of their
+  own: they read the defect-free compile's hook-query log, one per
+  ``(level, pipeline)`` (see :meth:`VersionProber.isolated_fired`).
 * :func:`bisect_defect` binary-searches the observed firing window's
   two boundaries around a known-bad anchor version, segment-scanning
   for an anchor first when none is known (the non-monotone case: a
@@ -39,14 +41,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bugs.catalog import CLANG_VERSIONS, GCC_VERSIONS
 from ..bugs.defects import Defect
 from ..compilers.compiler import Compiler
 from ..compilers.frontend import FrontendSession
 from ..compilers.pipelines import (CLANG_LEVEL_ALIASES, CLANG_LEVELS,
-                                   GCC_LEVELS, pipeline_for)
+                                   GCC_LEVELS, pipeline_for,
+                                   pipeline_identity)
 
 
 def family_versions(family: str) -> Tuple[str, ...]:
@@ -124,14 +127,17 @@ class VersionProber:
     """Backend-only probe cache for one witness program.
 
     The frontend runs once (the shared :class:`FrontendSession`); each
-    probe clones the lowered module and runs only the version's
+    compile clones the lowered module and runs only the version's
     optimization pipeline + codegen.  Full verdicts are memoized by
     ``(module_fingerprint, version)`` per level — the session is one
     module, so the in-memory key is ``(version index, level)`` — and
-    answer the firing question for every defect at once; isolated
-    verdicts (:meth:`isolated_fired`) compile with exactly one defect
-    active and memoize per defect on top.  ``probes``/``memo_hits``
-    count live compiles vs cache hits over the prober's lifetime.
+    answer the firing question for every defect at once.  Isolated
+    verdicts (:meth:`isolated_fired`) are read off one defect-free
+    compile per ``(level, pipeline identity)``, whose log of hook
+    queries answers the single-defect question for every defect and
+    every version running that pipeline; they memoize per defect on
+    top.  ``probes``/``memo_hits`` count backend compiles vs memoized
+    answers over the prober's lifetime.
     """
 
     def __init__(self, family: str, seed: int,
@@ -143,6 +149,7 @@ class VersionProber:
         self.versions = family_versions(family)
         self._verdicts: dict = {}
         self._isolated: dict = {}
+        self._logs: dict = {}
         self.probes = 0
         self.memo_hits = 0
 
@@ -152,13 +159,11 @@ class VersionProber:
         return self.session.fingerprint
 
     def _compile(self, version_index: int, level: str,
-                 defects: Optional[Sequence[Defect]] = None):
+                 query_log: Optional[list] = None):
         compiler = Compiler(self.family, self.versions[version_index])
-        if defects is not None:
-            compiler.defects = list(defects)
         return compiler.compile_ir(
             self.session.ir_module(), level,
-            program_token=self.session.program_token)
+            program_token=self.session.program_token, query_log=query_log)
 
     def verdict(self, version_index: int, level: str) -> ProbeVerdict:
         """The full-catalog probe: what a real compile at this version
@@ -176,22 +181,49 @@ class VersionProber:
         self.probes += 1
         return verdict
 
+    def _query_log(self, version_index: int,
+                   level: str) -> Dict[str, List[dict]]:
+        """The defect-free compile's hook queries at this version,
+        grouped by point; shared by every version whose pipeline at
+        ``level`` is the same."""
+        pipeline = pipeline_for(self.family, level, version_index)
+        key = (level, pipeline_identity(pipeline))
+        log = self._logs.get(key)
+        if log is None:
+            queries: list = []
+            self._compile(version_index, level, query_log=queries)
+            log = {}
+            for point, ctx in queries:
+                log.setdefault(point, []).append(ctx)
+            self._logs[key] = log
+            self.probes += 1
+        return log
+
     def isolated_fired(self, version_index: int, level: str,
                        defect: Defect) -> bool:
         """The single-defect probe: does ``defect`` fire at this
         version with every *other* defect disabled?  This is the
         boundary-search predicate — interference-free, so the observed
         window is a property of the defect alone and comparable to its
-        catalog ``introduced``/``fixed_in`` claim."""
+        catalog ``introduced``/``fixed_in`` claim.
+
+        It is answered from the defect-free compile's query log, not by
+        a compile of its own: until the defect first answers ``True``, a
+        compile with only it active *is* the defect-free compile.  So
+        it fires iff it is active at ``(version, level)`` and its
+        selector matches some query the log holds at its point.
+        """
         key = (version_index, level, defect.defect_id)
         if key in self._isolated:
             self.memo_hits += 1
             return self._isolated[key]
-        compilation = self._compile(version_index, level,
-                                    defects=(defect,))
-        fired = defect.defect_id in compilation.fired_defects()
+        level = _normalize_level(self.family, level)
+        fired = (defect.family == self.family
+                 and defect.active_in_version(version_index)
+                 and defect.active_at_level(level)
+                 and any(defect.matches(ctx) for ctx in self._query_log(
+                     version_index, level).get(defect.point, ())))
         self._isolated[key] = fired
-        self.probes += 1
         return fired
 
     def fired_at(self, version_index: int, level: str,

@@ -74,16 +74,39 @@ class FiredDefect:
     context: Dict = field(default_factory=dict)
 
 
+class NullHooks:
+    """No active defects (``-O0``, a defect-free build, or a bare
+    :class:`~repro.passes.base.PassManager` run)."""
+
+    def may_fire(self, point: str) -> bool:
+        return False
+
+    def fires(self, point: str, **ctx) -> bool:
+        return False
+
+
 class DefectHooks:
     """The hook object passes and codegen consult.
 
     Instantiated per compilation with the defects active for the chosen
     (family, version, level). Records every firing so analyses can map a
     violation back to the defect that produced it.
+
+    Defects are grouped by hook point, in catalog order, so a query at a
+    point no active defect hosts answers ``False`` before it builds a
+    context, and :meth:`may_fire` lets a caller skip the query (and
+    whatever it would take to pose it) altogether.  Within a point the
+    first matching defect still wins.
+
+    With a ``query_log`` the hooks are a *recorder*: every query is
+    appended to the log as ``(point, context)`` and answered ``False``,
+    so the compile is the defect-free one, and :meth:`may_fire` is
+    always ``True`` so no caller skips a query the log must see.
     """
 
     def __init__(self, defects: Sequence[Defect], family: str, level: str,
-                 version_index: int):
+                 version_index: int,
+                 query_log: Optional[List[Tuple[str, Dict]]] = None):
         self.family = family
         self.level = level
         self.version_index = version_index
@@ -92,6 +115,11 @@ class DefectHooks:
             if d.family == family and d.active_in_version(version_index)
             and d.active_at_level(level)
         ]
+        self.query_log = query_log
+        self._by_point: Dict[str, List[Defect]] = {}
+        if query_log is None:
+            for defect in self.defects:
+                self._by_point.setdefault(defect.point, []).append(defect)
         self.fired: List[FiredDefect] = []
         #: names of passes the pipeline actually ran (set by the compiler
         #: before codegen; lets codegen-stage defects depend on passes, so
@@ -101,14 +129,23 @@ class DefectHooks:
         #: sampling varies across test programs, not only across names
         self.program_token: str = ""
 
+    def may_fire(self, point: str) -> bool:
+        """False when no query at ``point`` can answer ``True`` (and no
+        log wants to see it)."""
+        return self.query_log is not None or point in self._by_point
+
     def fires(self, point: str, **ctx) -> bool:
+        candidates = self._by_point.get(point)
+        if candidates is None and self.query_log is None:
+            return False
         ctx.setdefault("level", self.level)
         ctx.setdefault("family", self.family)
         ctx["program"] = self.program_token
         ctx["applied"] = self.applied_passes
-        for defect in self.defects:
-            if defect.point != point:
-                continue
+        if self.query_log is not None:
+            self.query_log.append((point, ctx))
+            return False
+        for defect in candidates:
             if not defect.matches(ctx):
                 continue
             self.fired.append(FiredDefect(defect, point, dict(ctx)))

@@ -16,7 +16,7 @@ Triage controls are first-class, mirroring Section 4.3:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.symbols import SymbolTable, resolve
 from ..bugs.catalog import (
@@ -26,7 +26,7 @@ from ..bugs.defects import Defect, DefectHooks
 from ..ir.lower import lower_program
 from ..ir.module import Module
 from ..lang.ast_nodes import Program
-from ..passes.base import PassManager, PipelineReport
+from ..passes.base import PassManager, PipelineCheckpoint, PipelineReport
 from ..target.codegen import link
 from ..target.isa import Executable
 from .pipelines import (
@@ -148,10 +148,7 @@ class Compiler:
                 disabled: Sequence[str] = (),
                 bisect_limit: Optional[int] = None) -> Compilation:
         """Compile ``program`` at ``level`` and link an executable."""
-        level = self.normalize_level(level)
-        if level not in self.levels:  # fail fast, before lowering
-            raise ValueError(
-                f"{self.family} does not support -{level}")
+        level = self._checked_level(level)  # fail fast, before lowering
         if symtab is None:
             symtab = resolve(program)
         module = lower_program(program, symtab)
@@ -163,7 +160,10 @@ class Compiler:
     def compile_ir(self, module: Module, level: str = "O2",
                    program_token: str = "",
                    disabled: Sequence[str] = (),
-                   bisect_limit: Optional[int] = None) -> Compilation:
+                   bisect_limit: Optional[int] = None,
+                   resume: Optional[PipelineCheckpoint] = None,
+                   query_log: Optional[List[Tuple[str, Dict]]] = None
+                   ) -> Compilation:
         """Run the backend only: optimization pipeline + codegen/link.
 
         ``module`` is a freshly lowered (or freshly cloned — see
@@ -173,27 +173,78 @@ class Compiler:
         same way they would on the full :meth:`compile` path — the
         compile-once matrix driver computes it once per program and
         reuses it for every cell.
+
+        ``resume`` is a :meth:`checkpoints` entry for this ``level``
+        whose module is ``module``: the pipeline picks up at the
+        checkpoint's pass, with its report prefix and fired records, as
+        if it had run the passes before it itself.  With a
+        ``query_log`` the compile is the defect-free one, and every
+        defect-hook query it makes is appended to the log as ``(point,
+        context)`` — passes and codegen included.
         """
-        level = self.normalize_level(level)
-        if level not in self.levels:
-            raise ValueError(
-                f"{self.family} does not support -{level}")
-        hooks = DefectHooks(self.defects, self.family, level,
-                            self.version_index)
-        hooks.program_token = program_token
+        level = self._checked_level(level)
+        if resume is not None and module is not resume.module:
+            raise ValueError("a resumed compile runs on its checkpoint's "
+                             "module")
+        hooks = self._hooks(level, program_token, query_log)
         report = PipelineReport()
         if level != "O0":
-            pipeline = pipeline_for(self.family, level, self.version_index)
-            manager = PassManager(pipeline, disabled=disabled,
-                                  bisect_limit=bisect_limit,
-                                  verify=self.verify)
-            report = manager.run(module, hooks=hooks, level=level,
-                                 family=self.family)
+            if resume is not None:
+                hooks.fired = list(resume.fired)
+            report = self._manager(level, disabled, bisect_limit).run(
+                module, hooks=hooks, level=level, family=self.family,
+                resume=resume)
             hooks.applied_passes = report.applied
         exe = link(module, hooks=hooks if level != "O0" else None)
         return Compilation(
             family=self.family, version=self.version, level=level,
             module=module, exe=exe, report=report, hooks=hooks)
+
+    def checkpoints(self, module: Module, level: str,
+                    program_token: str = "",
+                    before: Sequence[str] = ()
+                    ) -> Dict[str, PipelineCheckpoint]:
+        """Run ``level``'s default pipeline over ``module`` once, only as
+        far as it must, and checkpoint it before the first instance of
+        each pass named in ``before`` (a name the pipeline does not
+        schedule gets none).
+
+        Everything a ``-fno-<pass>`` compile runs before that pass's
+        first instance is the default compile, so
+        ``compile_ir(cp.module, level, disabled=(name,), resume=cp)``
+        equals a full compile with ``disabled=(name,)``.  ``module`` is
+        mutated in place; each checkpoint holds its own clone.
+        """
+        level = self._checked_level(level)
+        manager = self._manager(level, (), None)
+        first: Dict[str, int] = {}
+        for index, name in enumerate(manager.pass_names()):
+            first.setdefault(name, index)
+        wanted = {name: first[name] for name in before if name in first}
+        taken = manager.checkpoints(
+            module, hooks=self._hooks(level, program_token, None),
+            level=level, family=self.family, before=wanted.values())
+        return {name: taken[index] for name, index in wanted.items()}
+
+    def _checked_level(self, level: str) -> str:
+        level = self.normalize_level(level)
+        if level not in self.levels:
+            raise ValueError(f"{self.family} does not support -{level}")
+        return level
+
+    def _hooks(self, level: str, program_token: str,
+               query_log: Optional[List[Tuple[str, Dict]]]) -> DefectHooks:
+        hooks = DefectHooks(self.defects, self.family, level,
+                            self.version_index, query_log=query_log)
+        hooks.program_token = program_token
+        return hooks
+
+    def _manager(self, level: str, disabled: Sequence[str],
+                 bisect_limit: Optional[int]) -> PassManager:
+        return PassManager(pipeline_for(self.family, level,
+                                        self.version_index),
+                           disabled=disabled, bisect_limit=bisect_limit,
+                           verify=self.verify)
 
 
 def default_compilers() -> List[Compiler]:

@@ -141,3 +141,11 @@ def boolean_flags(family: str, level: str, version_index: int) -> List[str]:
         if opt_pass.name not in seen:
             seen.append(opt_pass.name)
     return seen
+
+
+def pipeline_identity(passes: List[Pass]) -> tuple:
+    """A hashable identity of a pass list: each pass's class, name and
+    parameters (inline threshold, unroll trips, sched window), in order.
+    Two versions with equal identities at a level run the same
+    pipeline."""
+    return tuple((type(p), tuple(sorted(vars(p).items()))) for p in passes)

@@ -90,6 +90,13 @@ def _clone_instr(instr: Instr, blocks: Dict[int, BasicBlock]) -> Instr:
     return out
 
 
+def _next_slot_id(fn: Function) -> int:
+    """The id ``fn``'s next new slot gets, without using it up."""
+    next_id = next(fn._slot_counter)
+    fn._slot_counter = itertools.count(next_id)
+    return next_id
+
+
 def clone_function(fn: Function) -> Function:
     """An independent copy of ``fn`` (shared symbol/operand leaves)."""
     out = Function.__new__(Function)
@@ -106,10 +113,11 @@ def clone_function(fn: Function) -> Function:
                            address_taken=slot.address_taken)
         for slot_id, slot in fn.slots.items()
     }
-    # Resume slot numbering after the highest existing id so passes that
-    # create slots (the inliner) keep allocating unique ids.
-    out._slot_counter = itertools.count(
-        max(fn.slots, default=0) + 1)
+    # Continue the source's slot numbering exactly, so passes that create
+    # slots (the inliner) allocate the ids they would have on the source
+    # -- a pass may have deleted the highest slot, so the next id is not
+    # always one past the highest live one.
+    out._slot_counter = itertools.count(_next_slot_id(fn))
     blocks: Dict[int, BasicBlock] = {
         id(block): _clone_block_shell(block) for block in fn.blocks
     }

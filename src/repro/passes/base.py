@@ -39,15 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..bugs.defects import NullHooks
+from ..ir.clone import clone_module
 from ..ir.module import Function, Module
 from ..ir.verify import verify_module
-
-
-class _NullHooks:
-    """No active defects."""
-
-    def fires(self, point: str, **ctx) -> bool:
-        return False
 
 
 @dataclass
@@ -55,15 +50,24 @@ class PassContext:
     """Shared state handed to every pass invocation."""
 
     module: Module
-    hooks: object = field(default_factory=_NullHooks)
+    hooks: object = field(default_factory=NullHooks)
     level: str = "O0"
     family: str = "generic"
     verify: bool = False
     #: passes applied so far (pass names, in order)
     applied: List[str] = field(default_factory=list)
 
+    def may_fire(self, point: str) -> bool:
+        """False when no query at ``point`` can answer True, so a pass
+        may skip the work of posing it.  Hooks without ``may_fire`` are
+        asked every query."""
+        may_fire = getattr(self.hooks, "may_fire", None)
+        return may_fire is None or may_fire(point)
+
     def fires(self, point: str, **info) -> bool:
         """True if an active defect intercepts this debug provision."""
+        if not self.may_fire(point):
+            return False
         return self.hooks.fires(point, level=self.level,
                                 family=self.family, **info)
 
@@ -98,6 +102,31 @@ class PipelineReport:
     skipped_bisect: List[str] = field(default_factory=list)
     changes: Dict[str, bool] = field(default_factory=dict)
 
+    def copy(self) -> "PipelineReport":
+        return PipelineReport(list(self.applied),
+                              list(self.skipped_disabled),
+                              list(self.skipped_bisect), dict(self.changes))
+
+
+@dataclass
+class PipelineCheckpoint:
+    """A pipeline run's state just before the pass at ``index``.
+
+    A pass is deterministic given its input module and the answers its
+    ``ctx.fires`` queries get, so a run that resumes here — on
+    ``module``, with the report prefix and the hooks' fired records so
+    far — behaves exactly like one that ran the first ``index`` passes
+    itself.  A checkpoint is resumed at most once: the resumed run
+    mutates ``module`` in place.
+    """
+
+    index: int
+    module: Module
+    report: PipelineReport
+    #: the hooks' fired records before ``index`` (hooks that record
+    #: firings keep them in ``fired``)
+    fired: list
+
 
 class PassManager:
     """Runs a pass pipeline with flag / bisect / defect support."""
@@ -112,13 +141,53 @@ class PassManager:
         self.verify = verify
 
     def run(self, module: Module, hooks=None, level: str = "O2",
-            family: str = "generic") -> PipelineReport:
-        ctx = PassContext(module=module,
-                          hooks=hooks if hooks is not None else _NullHooks(),
-                          level=level, family=family, verify=self.verify)
+            family: str = "generic",
+            resume: Optional[PipelineCheckpoint] = None) -> PipelineReport:
+        """Run the pipeline over ``module`` in place.
+
+        With ``resume`` (a checkpoint of this pipeline whose module is
+        ``module``) the run starts at the checkpoint's pass with its
+        report prefix; the caller restores the hooks' fired records.
+        """
+        report = resume.report.copy() if resume is not None \
+            else PipelineReport()
+        ctx = self._context(module, hooks, level, family, report)
+        self._run_span(ctx, report,
+                       resume.index if resume is not None else 0,
+                       len(self.passes))
+        return report
+
+    def checkpoints(self, module: Module, hooks=None, level: str = "O2",
+                    family: str = "generic",
+                    before: Sequence[int] = ()
+                    ) -> Dict[int, PipelineCheckpoint]:
+        """Run the pipeline over ``module`` only as far as the largest
+        index in ``before``, checkpointing the state before each of
+        those passes (each checkpoint holds its own module clone)."""
         report = PipelineReport()
-        count = 0
-        for opt_pass in self.passes:
+        ctx = self._context(module, hooks, level, family, report)
+        out: Dict[int, PipelineCheckpoint] = {}
+        index = 0
+        for stop in sorted(set(before)):
+            self._run_span(ctx, report, index, stop)
+            index = stop
+            out[stop] = PipelineCheckpoint(
+                index=stop, module=clone_module(module),
+                report=report.copy(),
+                fired=list(getattr(ctx.hooks, "fired", ())))
+        return out
+
+    def _context(self, module: Module, hooks, level: str, family: str,
+                 report: PipelineReport) -> PassContext:
+        return PassContext(module=module,
+                           hooks=hooks if hooks is not None else NullHooks(),
+                           level=level, family=family, verify=self.verify,
+                           applied=list(report.applied))
+
+    def _run_span(self, ctx: PassContext, report: PipelineReport,
+                  start: int, stop: int) -> None:
+        count = len(report.applied)
+        for opt_pass in self.passes[start:stop]:
             if opt_pass.name in self.disabled:
                 report.skipped_disabled.append(opt_pass.name)
                 continue
@@ -131,8 +200,7 @@ class PassManager:
             report.applied.append(opt_pass.name)
             report.changes[opt_pass.name] = bool(changed)
             if self.verify:
-                verify_module(module)
-        return report
+                verify_module(ctx.module)
 
     def pass_names(self) -> List[str]:
         return [p.name for p in self.passes]

@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.symbols import Symbol
+from ..bugs.defects import NullHooks
 from ..debuginfo.die import (
     DIE, DebugInfoUnit, TAG_FORMAL_PARAMETER, TAG_INLINED_SUBROUTINE,
     TAG_LEXICAL_BLOCK, TAG_SUBPROGRAM, TAG_VARIABLE,
@@ -68,13 +69,6 @@ from .isa import (
 
 class LinkError(Exception):
     """Raised when a module cannot be linked into an executable."""
-
-
-class _NullHooks:
-    """No active defects (``-O0`` or a defect-free build)."""
-
-    def fires(self, point: str, **ctx) -> bool:
-        return False
 
 
 def _ranges_from_addrs(addrs: Set[int]) -> List[Tuple[int, int]]:
@@ -420,7 +414,7 @@ def link(module: Module, hooks=None) -> Executable:
     emission decision with a cataloged failure mode is routed through it.
     """
     if hooks is None:
-        hooks = _NullHooks()
+        hooks = NullHooks()
     if "main" not in module.functions:
         raise LinkError("module has no main function")
 

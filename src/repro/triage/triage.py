@@ -7,7 +7,9 @@ Two methods, as in the paper:
   absence makes the violation disappear. Dependencies between passes can
   surface several flags (disabling inlining prevents downstream
   optimizations), so results go through a prioritization heuristic that
-  ranks enabling passes (inlining, promotion) low.
+  ranks enabling passes (inlining, promotion) low.  The recompiles
+  resume from checkpoints of one default pipeline run, taken before
+  each flag's first pass.
 * **clang-style bisection** — binary-search the smallest
   ``-opt-bisect-limit`` N at which the violation appears; the culprit is
   the N-th pass instance of the pipeline.
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..analysis.source_facts import SourceFacts
-from ..compilers.compiler import Compiler
+from ..compilers.compiler import Compilation, Compiler
+from ..compilers.frontend import FrontendSession
 from ..conjectures.base import Violation, check_all
 from ..debugger.base import Debugger
 from ..lang.ast_nodes import Program
@@ -61,12 +64,25 @@ def violation_present(compiler: Compiler, program: Program, level: str,
                       debugger: Debugger, violation: Violation,
                       facts: Optional[SourceFacts] = None,
                       disabled: Tuple[str, ...] = (),
-                      bisect_limit: Optional[int] = None) -> bool:
-    """Recompile with the given controls and re-check one violation."""
+                      bisect_limit: Optional[int] = None,
+                      session: Optional[FrontendSession] = None) -> bool:
+    """Recompile with the given controls and re-check one violation.
+
+    ``session`` — a :class:`FrontendSession` of ``program`` — lets
+    repeated calls share one resolve and lowering."""
+    if session is None:
+        session = FrontendSession(-1, program=program)
     if facts is None:
-        facts = SourceFacts(program)
-    compilation = compiler.compile(program, level, disabled=disabled,
-                                   bisect_limit=bisect_limit)
+        facts = session.facts
+    compilation = compiler.compile_ir(
+        session.ir_module(), level, program_token=session.program_token,
+        disabled=disabled, bisect_limit=bisect_limit)
+    return _shows(compilation, debugger, facts, violation)
+
+
+def _shows(compilation: Compilation, debugger: Debugger,
+           facts: SourceFacts, violation: Violation) -> bool:
+    """Whether tracing the build exhibits ``violation``."""
     trace = debugger.trace(compilation.exe)
     key = violation.key()
     return any(v.key() == key for v in check_all(facts, trace))
@@ -79,18 +95,32 @@ def prioritize_flags(flags: List[str]) -> List[str]:
 
 def find_culprit_flags(compiler: Compiler, program: Program, level: str,
                        debugger: Debugger, violation: Violation,
-                       facts: Optional[SourceFacts] = None
+                       facts: Optional[SourceFacts] = None,
+                       session: Optional[FrontendSession] = None
                        ) -> TriageResult:
-    """The gcc-style method: try every boolean flag separately."""
+    """The gcc-style method: try every boolean flag separately.
+
+    Everything a ``-fno-X`` compile runs before X's first pass is the
+    default compile, so the default pipeline runs once, checkpointed
+    before each flag's first pass, and each flag's compile resumes from
+    its checkpoint (:meth:`~repro.compilers.compiler.Compiler
+    .checkpoints`)."""
+    if session is None:
+        session = FrontendSession(-1, program=program)
     if facts is None:
-        facts = SourceFacts(program)
+        facts = session.facts
     result = TriageResult(violation=violation, method="flags")
-    for flag in compiler.flags(level):
+    flags = compiler.flags(level)
+    checkpoints = compiler.checkpoints(
+        session.ir_module(), level, program_token=session.program_token,
+        before=flags)
+    for flag in flags:
         result.tested += 1
-        still_there = violation_present(
-            compiler, program, level, debugger, violation, facts,
-            disabled=(flag,))
-        if not still_there:
+        checkpoint = checkpoints[flag]
+        compilation = compiler.compile_ir(
+            checkpoint.module, level, program_token=session.program_token,
+            disabled=(flag,), resume=checkpoint)
+        if not _shows(compilation, debugger, facts, violation):
             result.culprit_flags.append(flag)
     result.culprit_flags = prioritize_flags(result.culprit_flags)
     return result
@@ -98,32 +128,32 @@ def find_culprit_flags(compiler: Compiler, program: Program, level: str,
 
 def find_culprit_bisect(compiler: Compiler, program: Program, level: str,
                         debugger: Debugger, violation: Violation,
-                        facts: Optional[SourceFacts] = None
+                        facts: Optional[SourceFacts] = None,
+                        session: Optional[FrontendSession] = None
                         ) -> TriageResult:
     """The clang-style method: smallest pass prefix showing the loss."""
+    if session is None:
+        session = FrontendSession(-1, program=program)
     if facts is None:
-        facts = SourceFacts(program)
+        facts = session.facts
     result = TriageResult(violation=violation, method="bisect")
     passes = compiler.pass_sequence(level)
 
+    def present(limit: int) -> bool:
+        result.tested += 1
+        return violation_present(compiler, program, level, debugger,
+                                 violation, facts, bisect_limit=limit,
+                                 session=session)
+
     # The violation must be present with the full pipeline and absent
     # with none of it, otherwise bisection has nothing to localize.
-    result.tested += 1
-    if not violation_present(compiler, program, level, debugger,
-                             violation, facts,
-                             bisect_limit=len(passes)):
-        return result
-    result.tested += 1
-    if violation_present(compiler, program, level, debugger, violation,
-                         facts, bisect_limit=0):
+    if not present(len(passes)) or present(0):
         return result
 
     lo, hi = 0, len(passes)  # absent at lo, present at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        result.tested += 1
-        if violation_present(compiler, program, level, debugger,
-                             violation, facts, bisect_limit=mid):
+        if present(mid):
             hi = mid
         else:
             lo = mid
@@ -134,7 +164,8 @@ def find_culprit_bisect(compiler: Compiler, program: Program, level: str,
 def triage(compiler: Compiler, program: Program, level: str,
            debugger: Debugger, violation: Violation,
            facts: Optional[SourceFacts] = None) -> TriageResult:
-    """Triage with the family's native method (Section 4.3)."""
+    """Triage with the family's native method (Section 4.3); its
+    probes share one frontend session."""
     if compiler.family == "clang":
         return find_culprit_bisect(compiler, program, level, debugger,
                                    violation, facts)

@@ -12,6 +12,7 @@ x both families (100% of fired records), plus:
   anchorless segment scan (the non-monotone case), disowned anchors,
   probe economy;
 * probe-count bounds per record and memoization accounting;
+* log-derived isolated probes equal single-defect compiles;
 * serial == sharded bit-identity and store-backed resume with zero
   recompiles;
 * artifact round-trip, merge algebra edges, report and CLI surface.
@@ -25,7 +26,7 @@ import pytest
 
 from repro.bisect import (
     BISECT_SCHEMA, BisectCampaignResult, BisectOutcome, BisectRecord,
-    bisect_defect, expected_window, family_versions,
+    VersionProber, bisect_defect, expected_window, family_versions,
     merge_bisect_results, pass_support, run_bisect_campaign,
     run_bisect_campaign_parallel, witness_fingerprint,
 )
@@ -239,6 +240,47 @@ def test_probe_counts_bounded(bundle):
     assert stats["consults"] == stats["probes"] + stats["memo_hits"]
     assert stats["memo_hits"] > 0     # bisection amortizes across defects
     assert stats["probes"] <= stats["consults"]
+
+
+#: Seeds for the isolated-probe exactness pin (kept small: every active
+#: (level, version, defect) triple costs one reference compile).
+EXACT_SEEDS = (0, 1, 2)
+
+
+@pytest.mark.parametrize("family", ["gcc", "clang"])
+def test_isolated_probes_equal_single_defect_compiles(family,
+                                                      compile_counter):
+    # An isolated probe is read off the defect-free compile's query log;
+    # the reference compiles with the one defect active.  Every version
+    # and every catalog defect of the family, at the levels that matter.
+    levels = ("Og", "O1", "O2", "O3") if family == "gcc" \
+        else ("Og", "O2", "O3")
+    catalog = defects_for_family(family)
+    fired = 0
+    for seed in EXACT_SEEDS:
+        prober = VersionProber(family, seed)
+        session = prober.session
+        for level in levels:
+            for index, version in enumerate(family_versions(family)):
+                for defect in catalog:
+                    before = compile_counter["count"]
+                    got = prober.isolated_fired(index, level, defect)
+                    if not (defect.active_in_version(index)
+                            and defect.active_at_level(level)):
+                        # Inactive pairs answer without a compile.
+                        assert got is False
+                        assert compile_counter["count"] == before
+                        continue
+                    reference = Compiler(family, version)
+                    reference.defects = [defect]
+                    want = defect.defect_id in reference.compile_ir(
+                        session.ir_module(), level,
+                        program_token=session.program_token
+                    ).fired_defects()
+                    assert got == want, (seed, level, version,
+                                         defect.defect_id)
+                    fired += want
+    assert fired >= 20      # the pin is not vacuous
 
 
 def test_non_monotone_window_bisected_from_middle_anchor():

@@ -214,6 +214,16 @@ def test_clone_fingerprint_matches_fresh_lowering():
         module_fingerprint(fresh_a)
 
 
+def test_clone_continues_slot_numbering_after_deletions():
+    # A pass deleted the highest slot: the clone's next slot id is the
+    # source's, not one past the highest live slot.
+    module = FrontendSession(0).ir_module()
+    fn = next(fn for fn in module.functions.values() if fn.slots)
+    del fn.slots[max(fn.slots)]
+    clone = clone_module(module).functions[fn.name]
+    assert clone.new_slot("t").slot_id == fn.new_slot("t").slot_id
+
+
 def test_session_o0_link_matches_compiler_o0(call_program):
     session = FrontendSession(0, program=call_program)
     via_session = link(session.ir_module())
