@@ -132,9 +132,9 @@ class BisectCampaignResult:
     pool_size: int = 0
     records: List[BisectRecord] = field(default_factory=list)
     #: probe accounting summed over witnesses: ``consults`` (firing
-    #: questions asked), ``probes`` (distinct versions consulted, i.e.
-    #: backend compiles a cold run would pay), ``memo_hits`` (consults
-    #: answered by an already-probed version).
+    #: questions asked), ``probes`` (distinct questions consulted: a
+    #: version's full verdict or a (defect, version) isolated one),
+    #: ``memo_hits`` (consults repeating a question already asked).
     stats: Dict[str, int] = field(default_factory=dict)
     #: Contained per-witness failures (see repro.faults); omitted from
     #: the serialized artifact when empty for byte-compatibility.

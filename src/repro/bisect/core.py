@@ -136,8 +136,9 @@ class VersionProber:
     compile per ``(level, pipeline identity)``, whose log of hook
     queries answers the single-defect question for every defect and
     every version running that pipeline; they memoize per defect on
-    top.  ``probes``/``memo_hits`` count backend compiles vs memoized
-    answers over the prober's lifetime.
+    top.  Over the prober's lifetime every consult counts once: as a
+    probe when it ran a backend compile, as a memo hit when it did not
+    (a cached verdict or log, or a defect inactive at the version).
     """
 
     def __init__(self, family: str, seed: int,
@@ -189,14 +190,16 @@ class VersionProber:
         pipeline = pipeline_for(self.family, level, version_index)
         key = (level, pipeline_identity(pipeline))
         log = self._logs.get(key)
-        if log is None:
-            queries: list = []
-            self._compile(version_index, level, query_log=queries)
-            log = {}
-            for point, ctx in queries:
-                log.setdefault(point, []).append(ctx)
-            self._logs[key] = log
-            self.probes += 1
+        if log is not None:
+            self.memo_hits += 1
+            return log
+        queries: list = []
+        self._compile(version_index, level, query_log=queries)
+        log = {}
+        for point, ctx in queries:
+            log.setdefault(point, []).append(ctx)
+        self._logs[key] = log
+        self.probes += 1
         return log
 
     def isolated_fired(self, version_index: int, level: str,
@@ -218,11 +221,14 @@ class VersionProber:
             self.memo_hits += 1
             return self._isolated[key]
         level = _normalize_level(self.family, level)
-        fired = (defect.family == self.family
-                 and defect.active_in_version(version_index)
-                 and defect.active_at_level(level)
-                 and any(defect.matches(ctx) for ctx in self._query_log(
-                     version_index, level).get(defect.point, ())))
+        if (defect.family == self.family
+                and defect.active_in_version(version_index)
+                and defect.active_at_level(level)):
+            fired = any(defect.matches(ctx) for ctx in self._query_log(
+                version_index, level).get(defect.point, ()))
+        else:
+            self.memo_hits += 1
+            fired = False
         self._isolated[key] = fired
         return fired
 

@@ -1,8 +1,8 @@
 """Injected defect model and the catalog of paper issues."""
 
 from .defects import (
-    Defect, DefectHooks, FiredDefect, NullHooks, all_of, rate_selector,
-    requires_pass, stable_hash,
+    Defect, DefectHooks, FiredDefect, NullHooks, QueryLog, all_of,
+    rate_selector, requires_pass, stable_hash,
 )
 from .catalog import (
     CLANG_VERSIONS, GCC_VERSIONS, HISTORICAL_DEFECTS, ISSUES, CatalogIssue,

@@ -85,6 +85,16 @@ class NullHooks:
         return False
 
 
+def _stamp(hooks, ctx: Dict) -> Dict:
+    """Complete a query's context with the compile-wide fields every
+    selector may key on."""
+    ctx.setdefault("level", hooks.level)
+    ctx.setdefault("family", hooks.family)
+    ctx["program"] = hooks.program_token
+    ctx["applied"] = hooks.applied_passes
+    return ctx
+
+
 class DefectHooks:
     """The hook object passes and codegen consult.
 
@@ -97,16 +107,10 @@ class DefectHooks:
     context, and :meth:`may_fire` lets a caller skip the query (and
     whatever it would take to pose it) altogether.  Within a point the
     first matching defect still wins.
-
-    With a ``query_log`` the hooks are a *recorder*: every query is
-    appended to the log as ``(point, context)`` and answered ``False``,
-    so the compile is the defect-free one, and :meth:`may_fire` is
-    always ``True`` so no caller skips a query the log must see.
     """
 
     def __init__(self, defects: Sequence[Defect], family: str, level: str,
-                 version_index: int,
-                 query_log: Optional[List[Tuple[str, Dict]]] = None):
+                 version_index: int):
         self.family = family
         self.level = level
         self.version_index = version_index
@@ -115,11 +119,9 @@ class DefectHooks:
             if d.family == family and d.active_in_version(version_index)
             and d.active_at_level(level)
         ]
-        self.query_log = query_log
         self._by_point: Dict[str, List[Defect]] = {}
-        if query_log is None:
-            for defect in self.defects:
-                self._by_point.setdefault(defect.point, []).append(defect)
+        for defect in self.defects:
+            self._by_point.setdefault(defect.point, []).append(defect)
         self.fired: List[FiredDefect] = []
         #: names of passes the pipeline actually ran (set by the compiler
         #: before codegen; lets codegen-stage defects depend on passes, so
@@ -130,21 +132,14 @@ class DefectHooks:
         self.program_token: str = ""
 
     def may_fire(self, point: str) -> bool:
-        """False when no query at ``point`` can answer ``True`` (and no
-        log wants to see it)."""
-        return self.query_log is not None or point in self._by_point
+        """False when no query at ``point`` can answer ``True``."""
+        return point in self._by_point
 
     def fires(self, point: str, **ctx) -> bool:
         candidates = self._by_point.get(point)
-        if candidates is None and self.query_log is None:
+        if candidates is None:
             return False
-        ctx.setdefault("level", self.level)
-        ctx.setdefault("family", self.family)
-        ctx["program"] = self.program_token
-        ctx["applied"] = self.applied_passes
-        if self.query_log is not None:
-            self.query_log.append((point, ctx))
-            return False
+        _stamp(self, ctx)
         for defect in candidates:
             if not defect.matches(ctx):
                 continue
@@ -158,6 +153,37 @@ class DefectHooks:
             if record.defect.defect_id not in seen:
                 seen.append(record.defect.defect_id)
         return seen
+
+
+class QueryLog:
+    """Hooks that record instead of fire.
+
+    Every query is appended to ``queries`` as ``(point, context)`` and
+    answered ``False``, so the compile is the defect-free one; a
+    compile with a single defect active runs exactly like it until that
+    defect first answers ``True``, so the log answers every
+    single-defect firing question at once.  :meth:`may_fire` is always
+    ``True``: no caller may skip a query the log must see.
+    """
+
+    def __init__(self, family: str, level: str,
+                 queries: List[Tuple[str, Dict]]):
+        self.family = family
+        self.level = level
+        self.queries = queries
+        self.fired: List[FiredDefect] = []
+        self.applied_passes: List[str] = []
+        self.program_token: str = ""
+
+    def may_fire(self, point: str) -> bool:
+        return True
+
+    def fires(self, point: str, **ctx) -> bool:
+        self.queries.append((point, _stamp(self, ctx)))
+        return False
+
+    def fired_defect_ids(self) -> List[str]:
+        return []
 
 
 def rate_selector(key_fields: Sequence[str], modulo: int,

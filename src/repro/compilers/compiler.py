@@ -22,7 +22,7 @@ from ..analysis.symbols import SymbolTable, resolve
 from ..bugs.catalog import (
     CLANG_VERSIONS, GCC_VERSIONS, defects_for_family,
 )
-from ..bugs.defects import Defect, DefectHooks
+from ..bugs.defects import Defect, DefectHooks, QueryLog
 from ..ir.lower import lower_program
 from ..ir.module import Module
 from ..lang.ast_nodes import Program
@@ -157,7 +157,8 @@ class Compiler:
                                disabled=disabled,
                                bisect_limit=bisect_limit)
 
-    def compile_ir(self, module: Module, level: str = "O2",
+    def compile_ir(self, module: Optional[Module] = None,
+                   level: str = "O2",
                    program_token: str = "",
                    disabled: Sequence[str] = (),
                    bisect_limit: Optional[int] = None,
@@ -174,23 +175,21 @@ class Compiler:
         compile-once matrix driver computes it once per program and
         reuses it for every cell.
 
-        ``resume`` is a :meth:`checkpoints` entry for this ``level``
-        whose module is ``module``: the pipeline picks up at the
-        checkpoint's pass, with its report prefix and fired records, as
-        if it had run the passes before it itself.  With a
-        ``query_log`` the compile is the defect-free one, and every
-        defect-hook query it makes is appended to the log as ``(point,
-        context)`` — passes and codegen included.
+        ``resume`` is a :meth:`checkpoints` entry for this ``level``,
+        given in place of ``module``: the pipeline runs on the
+        checkpoint's module and picks up at its pass, with its report
+        prefix and fired records, as if it had run the passes before it
+        itself.  With a ``query_log`` the compile is the defect-free
+        one, and every defect-hook query it makes is appended to the log
+        as ``(point, context)`` — passes and codegen included (see
+        :class:`~repro.bugs.defects.QueryLog`).
         """
         level = self._checked_level(level)
-        if resume is not None and module is not resume.module:
-            raise ValueError("a resumed compile runs on its checkpoint's "
-                             "module")
+        if resume is not None:
+            module = resume.module
         hooks = self._hooks(level, program_token, query_log)
         report = PipelineReport()
         if level != "O0":
-            if resume is not None:
-                hooks.fired = list(resume.fired)
             report = self._manager(level, disabled, bisect_limit).run(
                 module, hooks=hooks, level=level, family=self.family,
                 resume=resume)
@@ -211,7 +210,7 @@ class Compiler:
 
         Everything a ``-fno-<pass>`` compile runs before that pass's
         first instance is the default compile, so
-        ``compile_ir(cp.module, level, disabled=(name,), resume=cp)``
+        ``compile_ir(level=level, disabled=(name,), resume=cp)``
         equals a full compile with ``disabled=(name,)``.  ``module`` is
         mutated in place; each checkpoint holds its own clone.
         """
@@ -222,7 +221,7 @@ class Compiler:
             first.setdefault(name, index)
         wanted = {name: first[name] for name in before if name in first}
         taken = manager.checkpoints(
-            module, hooks=self._hooks(level, program_token, None),
+            module, hooks=self._hooks(level, program_token),
             level=level, family=self.family, before=wanted.values())
         return {name: taken[index] for name, index in wanted.items()}
 
@@ -233,9 +232,12 @@ class Compiler:
         return level
 
     def _hooks(self, level: str, program_token: str,
-               query_log: Optional[List[Tuple[str, Dict]]]) -> DefectHooks:
-        hooks = DefectHooks(self.defects, self.family, level,
-                            self.version_index, query_log=query_log)
+               query_log: Optional[List[Tuple[str, Dict]]] = None):
+        if query_log is not None:
+            hooks = QueryLog(self.family, level, query_log)
+        else:
+            hooks = DefectHooks(self.defects, self.family, level,
+                                self.version_index)
         hooks.program_token = program_token
         return hooks
 

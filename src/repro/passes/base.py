@@ -66,8 +66,6 @@ class PassContext:
 
     def fires(self, point: str, **info) -> bool:
         """True if an active defect intercepts this debug provision."""
-        if not self.may_fire(point):
-            return False
         return self.hooks.fires(point, level=self.level,
                                 family=self.family, **info)
 
@@ -147,14 +145,16 @@ class PassManager:
 
         With ``resume`` (a checkpoint of this pipeline whose module is
         ``module``) the run starts at the checkpoint's pass with its
-        report prefix; the caller restores the hooks' fired records.
+        report prefix and the hooks' fired records restored.
         """
         report = resume.report.copy() if resume is not None \
             else PipelineReport()
         ctx = self._context(module, hooks, level, family, report)
-        self._run_span(ctx, report,
-                       resume.index if resume is not None else 0,
-                       len(self.passes))
+        start = 0
+        if resume is not None:
+            ctx.hooks.fired = list(resume.fired)
+            start = resume.index
+        self._run_span(ctx, report, start, len(self.passes))
         return report
 
     def checkpoints(self, module: Module, hooks=None, level: str = "O2",

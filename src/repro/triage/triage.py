@@ -95,8 +95,7 @@ def prioritize_flags(flags: List[str]) -> List[str]:
 
 def find_culprit_flags(compiler: Compiler, program: Program, level: str,
                        debugger: Debugger, violation: Violation,
-                       facts: Optional[SourceFacts] = None,
-                       session: Optional[FrontendSession] = None
+                       facts: Optional[SourceFacts] = None
                        ) -> TriageResult:
     """The gcc-style method: try every boolean flag separately.
 
@@ -105,8 +104,7 @@ def find_culprit_flags(compiler: Compiler, program: Program, level: str,
     before each flag's first pass, and each flag's compile resumes from
     its checkpoint (:meth:`~repro.compilers.compiler.Compiler
     .checkpoints`)."""
-    if session is None:
-        session = FrontendSession(-1, program=program)
+    session = FrontendSession(-1, program=program)
     if facts is None:
         facts = session.facts
     result = TriageResult(violation=violation, method="flags")
@@ -116,10 +114,9 @@ def find_culprit_flags(compiler: Compiler, program: Program, level: str,
         before=flags)
     for flag in flags:
         result.tested += 1
-        checkpoint = checkpoints[flag]
         compilation = compiler.compile_ir(
-            checkpoint.module, level, program_token=session.program_token,
-            disabled=(flag,), resume=checkpoint)
+            level=level, program_token=session.program_token,
+            disabled=(flag,), resume=checkpoints[flag])
         if not _shows(compilation, debugger, facts, violation):
             result.culprit_flags.append(flag)
     result.culprit_flags = prioritize_flags(result.culprit_flags)
@@ -128,12 +125,10 @@ def find_culprit_flags(compiler: Compiler, program: Program, level: str,
 
 def find_culprit_bisect(compiler: Compiler, program: Program, level: str,
                         debugger: Debugger, violation: Violation,
-                        facts: Optional[SourceFacts] = None,
-                        session: Optional[FrontendSession] = None
+                        facts: Optional[SourceFacts] = None
                         ) -> TriageResult:
     """The clang-style method: smallest pass prefix showing the loss."""
-    if session is None:
-        session = FrontendSession(-1, program=program)
+    session = FrontendSession(-1, program=program)
     if facts is None:
         facts = session.facts
     result = TriageResult(violation=violation, method="bisect")

@@ -260,11 +260,13 @@ def test_isolated_probes_equal_single_defect_compiles(family,
     for seed in EXACT_SEEDS:
         prober = VersionProber(family, seed)
         session = prober.session
+        consults = 0
         for level in levels:
             for index, version in enumerate(family_versions(family)):
                 for defect in catalog:
                     before = compile_counter["count"]
                     got = prober.isolated_fired(index, level, defect)
+                    consults += 1
                     if not (defect.active_in_version(index)
                             and defect.active_at_level(level)):
                         # Inactive pairs answer without a compile.
@@ -280,6 +282,9 @@ def test_isolated_probes_equal_single_defect_compiles(family,
                     assert got == want, (seed, level, version,
                                          defect.defect_id)
                     fired += want
+        # Each consult is a probe (it compiled a log) or a memo hit.
+        assert prober.probes == len(prober._logs)
+        assert prober.probes + prober.memo_hits == consults
     assert fired >= 20      # the pin is not vacuous
 
 

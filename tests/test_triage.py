@@ -52,11 +52,9 @@ def test_resumed_flag_compiles_equal_full_compiles(seed):
                                            before=flags)
         assert sorted(checkpoints) == sorted(flags)
         for flag in flags:
-            checkpoint = checkpoints[flag]
-            resumed = compiler.compile_ir(checkpoint.module, level,
-                                          program_token=token,
+            resumed = compiler.compile_ir(level=level, program_token=token,
                                           disabled=(flag,),
-                                          resume=checkpoint)
+                                          resume=checkpoints[flag])
             full = compiler.compile(session.program, level,
                                     disabled=(flag,))
             where = (seed, level, flag)
@@ -67,15 +65,6 @@ def test_resumed_flag_compiles_equal_full_compiles(seed):
             for debugger in (GdbLike(), LldbLike()):
                 assert debugger.trace(resumed.exe) == \
                     debugger.trace(full.exe), where
-
-
-def test_resume_requires_the_checkpoint_module():
-    compiler = Compiler("gcc", "trunk")
-    session = FrontendSession(0)
-    checkpoint = compiler.checkpoints(session.ir_module(), "O2",
-                                      before=["tree-dce"])["tree-dce"]
-    with pytest.raises(ValueError):
-        compiler.compile_ir(session.ir_module(), "O2", resume=checkpoint)
 
 
 # -- triage methods against full-compile references ----------------------------
