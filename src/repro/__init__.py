@@ -44,10 +44,9 @@ from .metrics import (
 )
 from .pipeline import (
     CampaignResult, MatrixCampaignResult, ReductionCampaignResult,
-    classify_violation, dwarf_category, fold_results,
-    merge_matrix_results, merge_reduction_results, merge_results,
-    run_campaign, run_campaign_on_programs, run_campaign_parallel,
-    run_campaign_seeds, run_matrix_campaign,
+    classify_violation, dwarf_category, fold_results, run_campaign,
+    run_campaign_on_programs, run_campaign_parallel, run_campaign_seeds,
+    run_matrix_campaign,
     run_matrix_campaign_parallel, run_matrix_study, run_reduction_campaign,
     run_study_parallel, test_program,
 )

@@ -23,7 +23,7 @@ regression table.
 
 from .campaign import (
     BISECT_SCHEMA, BisectCampaignResult, BisectRecord,
-    merge_bisect_results, run_bisect_campaign, witness_fingerprint,
+    run_bisect_campaign, witness_fingerprint,
 )
 from .core import (
     BisectOutcome, ProbeVerdict, VersionProber, bisect_defect,
@@ -41,7 +41,6 @@ __all__ = [
     "bisect_defect",
     "expected_window",
     "family_versions",
-    "merge_bisect_results",
     "pass_support",
     "run_bisect_campaign",
     "run_bisect_campaign_parallel",

@@ -30,15 +30,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..bugs.catalog import defects_for_family
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
-from ..faults.records import (
-    FailureRecord, failures_from_dicts, failures_to_dicts,
-    merge_failures,
-)
-from ..pipeline.campaign import (
-    CampaignResult, fold_results, missing_field_error,
-)
+from ..faults.records import FailureRecord
+from ..pipeline.campaign import CampaignResult
 from ..pipeline.reduction import witness_units
-from ..pipeline.units import Cell, Unit, Workload, payload_stats, run_units
+from ..pipeline.results import FieldRecord, WitnessResult, seed_positions
+from ..pipeline.units import (
+    Cell, Unit, Workload, run_units, stored_fingerprint,
+)
 from .core import (
     BisectOutcome, VersionProber, bisect_defect, family_versions,
     pass_support,
@@ -46,12 +44,6 @@ from .core import (
 
 #: Artifact schema tag; bump only with a migration path in ``from_dict``.
 BISECT_SCHEMA = "repro-bisect/1"
-
-_RECORD_FIELDS = (
-    "seed", "level", "conjecture", "variable", "defect", "origin",
-    "last_good", "first_bad", "fixed_in", "introduced",
-    "catalog_fixed_in", "supported", "probes",
-)
 
 
 def witness_fingerprint(module_fingerprint: str, level: str,
@@ -69,8 +61,17 @@ def witness_fingerprint(module_fingerprint: str, level: str,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def witness_payload(seed: int, level: str, conjecture: str,
+                    variable: str, records: Iterable["BisectRecord"]
+                    ) -> Dict[str, object]:
+    """One witness's stored row: its identity and its records."""
+    return {"witness": {"seed": seed, "level": level,
+                        "conjecture": conjecture, "variable": variable},
+            "records": [record.to_dict() for record in records]}
+
+
 @dataclass
-class BisectRecord:
+class BisectRecord(FieldRecord):
     """One defect's bisected window for one witness.
 
     ``last_good``/``first_bad``/``fixed_in`` are the *observed* window
@@ -82,6 +83,8 @@ class BisectRecord:
     :func:`~repro.bisect.core.pass_support`); ``probes`` the distinct
     versions this defect's search consulted.
     """
+
+    SCHEMA = BISECT_SCHEMA
 
     seed: int
     level: str
@@ -108,24 +111,18 @@ class BisectRecord:
         return (self.seed, self.level, self.conjecture, self.variable,
                 self.defect)
 
-    def to_dict(self) -> Dict[str, object]:
-        data = {name: getattr(self, name) for name in _RECORD_FIELDS}
-        data["supported"] = list(self.supported)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BisectRecord":
-        try:
-            fields = {name: data[name] for name in _RECORD_FIELDS}
-        except KeyError as error:
-            raise missing_field_error(BISECT_SCHEMA, error) from None
-        fields["supported"] = list(fields["supported"])
-        return cls(**fields)
-
 
 @dataclass
-class BisectCampaignResult:
-    """Every bisected witness of one campaign (``repro-bisect/1``)."""
+class BisectCampaignResult(WitnessResult):
+    """Every bisected witness of one campaign (``repro-bisect/1``).
+
+    Identity is the anchor cell — the campaign's compiler — since
+    windows bisected from different anchors are not comparable rows of
+    one table.
+    """
+
+    SCHEMA = BISECT_SCHEMA
+    ITEM = BisectRecord
 
     family: str
     version: str
@@ -150,94 +147,25 @@ class BisectCampaignResult:
         """Distinct defect ids that fired, sorted."""
         return sorted({r.defect for r in self.records if r.fired})
 
-    # -- merging -----------------------------------------------------------------
-
-    def merge(self, other: "BisectCampaignResult"
-              ) -> "BisectCampaignResult":
-        """Combine two shard results (disjoint witness sets required).
-
-        Identity is the anchor cell — the campaign's compiler — since
-        windows bisected from different anchors are not comparable
-        rows of one table.  Records renormalize to seed order (stable,
-        so a witness's per-defect order is preserved) and the probe
-        accounting is summed key-wise.
-        """
-        if (self.family, self.version) != (other.family, other.version):
-            raise ValueError(
-                f"cannot merge bisect campaigns of different cells: "
-                f"{self.family}-{self.version} vs "
-                f"{other.family}-{other.version}")
-        overlap = {record.witness_key() for record in self.records} & \
-            {record.witness_key() for record in other.records}
-        if overlap:
-            raise ValueError(
-                f"cannot merge bisect campaigns with overlapping "
-                f"witnesses (would double-count): "
-                f"{sorted(overlap)[:3]}...")
-        stats = dict(self.stats)
-        for key, value in other.stats.items():
-            stats[key] = stats.get(key, 0) + value
-        records = sorted(self.records + other.records,
-                         key=lambda record: record.seed)
-        return BisectCampaignResult(
-            family=self.family, version=self.version,
-            pool_size=self.pool_size + other.pool_size,
-            records=records, stats=stats,
-            failures=merge_failures(self.failures, other.failures))
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "schema": BISECT_SCHEMA,
-            "family": self.family,
-            "version": self.version,
-            "pool_size": self.pool_size,
-            "records": [record.to_dict() for record in self.records],
-            "stats": dict(sorted(self.stats.items())),
-        }
-        if self.failures:
-            data["failures"] = failures_to_dicts(self.failures)
-        return data
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The ``repro-bisect/1`` artifact document (field-by-field
-        spec in ``docs/ARTIFACTS.md``); render it with ``repro-report``
-        or :func:`repro.report.bisect_table`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
-    def from_dict(cls, data: Dict[str, object]
-                  ) -> "BisectCampaignResult":
-        schema = data.get("schema")
-        if schema != BISECT_SCHEMA:
-            raise ValueError(
-                f"not a bisect artifact: schema {schema!r} "
-                f"(expected {BISECT_SCHEMA!r})")
-        try:
-            return cls(
-                family=data["family"], version=data["version"],
-                pool_size=data["pool_size"],
-                records=[BisectRecord.from_dict(r)
-                         for r in data["records"]],
-                stats=dict(data["stats"]),
-                failures=failures_from_dicts(data.get("failures", ())))
-        except KeyError as error:
-            raise missing_field_error(BISECT_SCHEMA, error) from None
+    def items_of(cls, payload: Dict[str, object]) -> List[BisectRecord]:
+        return [BisectRecord.from_dict(record)
+                for record in payload["records"]]
 
-    @classmethod
-    def from_json(cls, text: str) -> "BisectCampaignResult":
-        """Load a stored ``repro-bisect/1`` artifact (see
-        ``docs/ARTIFACTS.md``)."""
-        return cls.from_dict(json.loads(text))
-
-
-def merge_bisect_results(results: Iterable[BisectCampaignResult]
-                         ) -> BisectCampaignResult:
-    """Fold any number of shard results into one (at least one needed;
-    a single shard is returned unchanged — see
-    :func:`~repro.pipeline.campaign.fold_results`)."""
-    return fold_results(results, what="bisect results")
+    def rows(self, store):
+        """One row per witness, keyed like a live run's (the seed's
+        module is lowered here when the store has no digest for it)."""
+        witnesses: Dict[Tuple[int, str, str, str], List] = {}
+        for record in self.records:
+            witnesses.setdefault(record.witness_key()[:4],
+                                 []).append(record)
+        positions = seed_positions(seed for seed, *_ in witnesses)
+        for (witness, records), position in zip(witnesses.items(),
+                                                positions):
+            seed, level, conjecture, variable = witness
+            key = witness_fingerprint(stored_fingerprint(store, seed),
+                                      level, conjecture, variable)
+            yield seed, key, position, witness_payload(*witness, records)
 
 
 class _WitnessScope:
@@ -398,12 +326,10 @@ def bisect_workload(campaign: CampaignResult, limit: Optional[int] = None,
         for unit in witness_units(campaign, limit):
             if store is not None:
                 level, violation = unit.subject
-                module_fp = store.module_fingerprint(unit.seed)
-                if module_fp is None:
-                    module_fp = prober_for(unit.seed).fingerprint
-                    store.record_module_fingerprint(unit.seed, module_fp)
+                module = stored_fingerprint(
+                    store, unit.seed, prober_for(unit.seed).session)
                 unit = replace(unit, key=witness_fingerprint(
-                    module_fp, level, violation.conjecture,
+                    module, level, violation.conjecture,
                     violation.variable))
             yield unit
 
@@ -419,37 +345,19 @@ def bisect_workload(campaign: CampaignResult, limit: Optional[int] = None,
             violation.variable, anchor,
             programs[unit.seed].fired.get(level, ()), requested,
             discover, catalog)
-        return None, {cell: {
-            "witness": {
-                "seed": unit.seed, "level": level,
-                "conjecture": violation.conjecture,
-                "variable": violation.variable,
-            },
-            "records": [r.to_dict() for r in records],
-            # Each witness carries its own probe-accounting slice (see
-            # payload_stats).
-            "stats": scope.stats(),
-        }}
+        payload = witness_payload(unit.seed, level, violation.conjecture,
+                                  violation.variable, records)
+        # Each witness carries its own probe-accounting slice (summed by
+        # ``from_rows``).
+        payload["stats"] = scope.stats()
+        return None, {cell: payload}
 
-    def result(outcome, store) -> BisectCampaignResult:
-        payloads = outcome.payloads[cell]
-        if store is not None:
-            run = store.run_id(BISECT_SCHEMA, family, version, ())
-            store.set_run_attrs(run, pool_size=campaign.pool_size)
-        return BisectCampaignResult(
-            family=family, version=version, pool_size=campaign.pool_size,
-            records=bisect_records(payloads),
-            stats=payload_stats(payloads),
-            failures=outcome.failures[cell])
-
-    return Workload(name, [cell], units, evaluate, result)
-
-
-def bisect_records(payloads: Iterable[Dict[str, object]]
-                   ) -> List[BisectRecord]:
-    """Every record of the stored witness payloads, in payload order."""
-    return [BisectRecord.from_dict(record) for payload in payloads
-            for record in payload["records"]]
+    return Workload(
+        name, [cell], units, evaluate,
+        lambda outcome, store: BisectCampaignResult.from_rows(
+            cell, outcome.payloads[cell], outcome.failures[cell],
+            campaign.pool_size),
+        run_attrs={"pool_size": campaign.pool_size})
 
 
 def run_bisect_campaign(campaign: CampaignResult,

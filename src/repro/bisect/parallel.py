@@ -24,10 +24,10 @@ from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
 from ..pipeline.campaign import CampaignResult
 from ..pipeline.parallel import RetryPolicy, map_unit_shards, open_store
+from ..pipeline.results import fold_results
 from ..pipeline.units import Workload
 from .campaign import (
-    BISECT_SCHEMA, BisectCampaignResult, bisect_workload,
-    merge_bisect_results, run_bisect_campaign,
+    BisectCampaignResult, bisect_workload, run_bisect_campaign,
 )
 
 
@@ -46,10 +46,10 @@ def _program_slices(campaign: CampaignResult, n_shards: int
     """At most ``n_shards`` contiguous program slices (at least one,
     possibly empty) as self-contained sub-campaigns.
 
-    Each slice's ``pool_size`` is its program count (the merged sum is
-    overridden with the input campaign's afterwards — quarantined seeds
-    make the slice total undercount); campaign-level failure records
-    stay behind, since bisection results carry only bisection failures.
+    Each slice keeps the campaign's ``pool_size``, so every shard
+    records the same run attribute (the merged sum is overridden with
+    it afterwards); campaign-level failure records stay behind, since
+    bisection results carry only bisection failures.
     """
     programs = campaign.programs
     n_shards = max(1, min(len(programs), n_shards))
@@ -62,7 +62,7 @@ def _program_slices(campaign: CampaignResult, n_shards: int
         start += size
         slices.append(CampaignResult(
             family=campaign.family, version=campaign.version,
-            levels=list(campaign.levels), pool_size=len(chunk),
+            levels=list(campaign.levels), pool_size=campaign.pool_size,
             programs=chunk))
     return slices
 
@@ -96,20 +96,13 @@ def run_bisect_campaign_parallel(
                 campaign, limit=limit, discover=discover,
                 defects=defects, store=store, faults=faults,
                 max_attempts=max_attempts, retry_failed=retry_failed)
-    merged = merge_bisect_results(map_unit_shards(
+    merged = fold_results(map_unit_shards(
         _slice_workload,
         lambda n: [(part.to_json(), discover, tuple(defects))
                    for part in _program_slices(campaign, n)],
         workers, start_method, store_path=store_path, faults=faults,
         max_attempts=max_attempts, retry_failed=retry_failed,
         retry=retry, sleeper=sleeper))
-    # Slice pool sizes sum to the evaluated program count; the artifact
-    # reports the campaign's nominal pool (quarantined seeds included),
-    # exactly as the serial driver does.
+    # Every shard reports the campaign's pool; the merge summed them.
     merged.pool_size = campaign.pool_size
-    if store_path is not None:
-        with open_store(store_path) as store:
-            run = store.run_id(BISECT_SCHEMA, campaign.family,
-                               campaign.version, ())
-            store.set_run_attrs(run, pool_size=campaign.pool_size)
     return merged

@@ -2,13 +2,13 @@
 
 from .campaign import (
     CAMPAIGN_SCHEMA, CampaignResult, ProgramResult, ViolationKey,
-    fold_results, merge_results, run_campaign, run_campaign_on_programs,
-    run_campaign_seeds, test_program, test_program_full,
+    run_campaign, run_campaign_on_programs, run_campaign_seeds,
+    test_program, test_program_full,
 )
 from .classify import ClassifiedViolation, classify_violation, dwarf_category
 from .matrix import (
-    MATRIX_SCHEMA, MatrixCampaignResult, merge_matrix_results,
-    run_matrix_campaign, run_matrix_campaign_seeds, run_matrix_study,
+    MATRIX_SCHEMA, MatrixCampaignResult, run_matrix_campaign,
+    run_matrix_campaign_seeds, run_matrix_study,
 )
 from .parallel import (
     RetryPolicy, StudyShard, UnitShard, run_campaign_parallel,
@@ -17,5 +17,6 @@ from .parallel import (
 )
 from .reduction import (
     REDUCE_SCHEMA, ReductionCampaignResult, ReductionRecord,
-    iter_witnesses, merge_reduction_results, run_reduction_campaign,
+    iter_witnesses, run_reduction_campaign,
 )
+from .results import fold_results

@@ -12,20 +12,18 @@ the family's native debugger, check the three conjectures, and aggregate:
 
 Results are **pure, mergeable values**: a shard's ``CampaignResult`` is a
 plain dataclass over frozen :class:`~repro.conjectures.base.Violation`
-records, :meth:`CampaignResult.merge` is associative and order-independent
-over disjoint seed ranges (it renormalizes program order by seed), and
-``to_json``/``from_json`` round-trip exactly. This is what lets the
+records, and its ``merge`` (associative and order-independent over
+disjoint seed ranges) and exact ``to_json``/``from_json`` round trip come
+from the one result protocol every keyed-unit artifact shares
+(:class:`~repro.pipeline.results.CellResult`). This is what lets the
 parallel driver (:mod:`repro.pipeline.parallel`) shard a campaign across
 processes and still reproduce the serial aggregates bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.source_facts import SourceFacts
 from ..compilers.compiler import Compiler
@@ -33,58 +31,16 @@ from ..conjectures.base import CONJECTURES, Violation, check_all
 from ..debugger.base import Debugger
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
-from ..faults.records import (
-    FailureRecord, failures_from_dicts, failures_to_dicts,
-    merge_failures,
-)
+from ..faults.records import FailureRecord
 from ..fuzz.seeds import SeedSpec
 from ..lang.ast_nodes import Program
+from .results import CellResult, field_dict, from_field_dict
 
 #: A unique violation identity: (conjecture, line, variable).
 ViolationKey = Tuple[str, int, str]
 
 #: Artifact schema tag; bump only with a migration path in ``from_dict``.
 CAMPAIGN_SCHEMA = "repro-campaign/1"
-
-_VIOLATION_FIELDS = (
-    "conjecture", "line", "variable", "function", "observed", "detail",
-)
-
-
-def missing_field_error(schema: str, error: KeyError) -> ValueError:
-    """The uniform diagnosis every artifact loader raises when a stored
-    document lacks a required field — callers (DB ingest, CLI loads)
-    report it instead of a bare ``KeyError``."""
-    return ValueError(f"malformed {schema} artifact: "
-                      f"missing field {error.args[0]!r}")
-
-
-def fold_results(results: Iterable, what: str = "results"):
-    """Fold shard results into one via pairwise ``merge``.
-
-    The one folder every result type shares, so the edge cases behave
-    identically everywhere: an empty iterable raises immediately (not
-    after consuming the input), and a single shard is returned **as
-    is** — the exact object, never a lossy copy — so ``fold([r])``
-    round-trips unchanged.
-    """
-    iterator = iter(results)
-    try:
-        merged = next(iterator)
-    except StopIteration:
-        raise ValueError(
-            f"cannot merge an empty sequence of {what}") from None
-    for result in iterator:
-        merged = merged.merge(result)
-    return merged
-
-
-def _violation_to_dict(violation: Violation) -> Dict[str, object]:
-    return {name: getattr(violation, name) for name in _VIOLATION_FIELDS}
-
-
-def _violation_from_dict(data: Dict[str, object]) -> Violation:
-    return Violation(**{name: data[name] for name in _VIOLATION_FIELDS})
 
 
 @dataclass
@@ -126,7 +82,7 @@ class ProgramResult:
         data: Dict[str, object] = {
             "seed": self.seed,
             "violations": {
-                level: [_violation_to_dict(v) for v in violations]
+                level: [field_dict(v) for v in violations]
                 for level, violations in self.violations.items()
             },
         }
@@ -137,23 +93,24 @@ class ProgramResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProgramResult":
-        try:
-            return cls(
-                seed=data["seed"],
-                violations={
-                    level: [_violation_from_dict(v) for v in violations]
-                    for level, violations in data["violations"].items()
-                },
-                fired={level: list(ids)
-                       for level, ids in data.get("fired", {}).items()},
-            )
-        except KeyError as error:
-            raise missing_field_error(CAMPAIGN_SCHEMA, error) from None
+        return cls(
+            seed=data["seed"],
+            violations={
+                level: [from_field_dict(Violation, v) for v in violations]
+                for level, violations in data["violations"].items()
+            },
+            fired={level: list(ids)
+                   for level, ids in data.get("fired", {}).items()},
+        )
 
 
 @dataclass
-class CampaignResult:
-    """Aggregated campaign statistics."""
+class CampaignResult(CellResult):
+    """Aggregated campaign statistics (the ``repro-campaign/1``
+    artifact)."""
+
+    SCHEMA = CAMPAIGN_SCHEMA
+    ITEM = ProgramResult
 
     family: str
     version: str
@@ -225,97 +182,9 @@ class CampaignResult:
         """#conjectures violated per program, in seed order."""
         return [len(r.conjectures_violated()) for r in self.programs]
 
-    # -- merging ---------------------------------------------------------------
-
-    def merge(self, other: "CampaignResult") -> "CampaignResult":
-        """Combine two shard results into one campaign result.
-
-        Associative and commutative over shards with disjoint seed
-        ranges (overlapping ranges would double-count and are rejected):
-        program order is renormalized by seed, so any merge tree over
-        any shard ordering yields the same value — and the same
-        ``table1()``/``venn()``/``grid_row()`` aggregates — as the serial
-        run over the union of the ranges.
-        """
-        if (self.family, self.version) != (other.family, other.version):
-            raise ValueError(
-                f"cannot merge campaigns of different compilers: "
-                f"{self.family}-{self.version} vs "
-                f"{other.family}-{other.version}")
-        if sorted(self.levels) != sorted(other.levels):
-            # Order-insensitive on purpose: shards built with a
-            # different level *ordering* hold the same per-level data
-            # (violations are keyed by level name); only a different
-            # level *set* is a real mismatch.  The merged result keeps
-            # the left shard's display order.
-            raise ValueError(
-                f"cannot merge campaigns over different level sets: "
-                f"{self.levels} vs {other.levels}")
-        overlap = {p.seed for p in self.programs} & \
-            {p.seed for p in other.programs}
-        if overlap:
-            raise ValueError(
-                f"cannot merge campaigns with overlapping seed ranges "
-                f"(would double-count): {sorted(overlap)[:5]}...")
-        programs = sorted(self.programs + other.programs,
-                          key=lambda result: result.seed)
-        return CampaignResult(
-            family=self.family, version=self.version,
-            levels=list(self.levels),
-            pool_size=self.pool_size + other.pool_size,
-            programs=programs,
-            failures=merge_failures(self.failures, other.failures))
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "schema": CAMPAIGN_SCHEMA,
-            "family": self.family,
-            "version": self.version,
-            "levels": list(self.levels),
-            "pool_size": self.pool_size,
-            "programs": [p.to_dict() for p in self.programs],
-        }
-        if self.failures:
-            data["failures"] = failures_to_dicts(self.failures)
-        return data
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The ``repro-campaign/1`` artifact document (every field is
-        specified in ``docs/ARTIFACTS.md``); render it with
-        ``repro-report`` or :mod:`repro.report`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CampaignResult":
-        schema = data.get("schema")
-        if schema != CAMPAIGN_SCHEMA:
-            raise ValueError(
-                f"not a campaign artifact: schema {schema!r} "
-                f"(expected {CAMPAIGN_SCHEMA!r})")
-        try:
-            return cls(
-                family=data["family"], version=data["version"],
-                levels=list(data["levels"]), pool_size=data["pool_size"],
-                programs=[ProgramResult.from_dict(p)
-                          for p in data["programs"]],
-                failures=failures_from_dicts(data.get("failures", ())))
-        except KeyError as error:
-            raise missing_field_error(CAMPAIGN_SCHEMA, error) from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignResult":
-        """Load a stored ``repro-campaign/1`` artifact (see
-        ``docs/ARTIFACTS.md``; :func:`repro.report.load_artifact`
-        dispatches over every schema)."""
-        return cls.from_dict(json.loads(text))
-
-
-def merge_results(results: Iterable[CampaignResult]) -> CampaignResult:
-    """Fold any number of shard results into one (at least one needed;
-    a single shard is returned unchanged — see :func:`fold_results`)."""
-    return fold_results(results)
+    def stored_cells(self, debugger: str = ""):
+        # A campaign artifact does not record its debugger.
+        yield self.cell(debugger=debugger), self
 
 
 def test_program_full(program: Program, compiler: Compiler,

@@ -30,9 +30,8 @@ can prove its workers lowered the same IR the serial driver would have.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..compilers.compiler import Compiler, CompilerSpec
 from ..compilers.frontend import FrontendSession
@@ -48,11 +47,9 @@ from ..metrics.study import (
 )
 from ..lang.printer import print_program
 from ..target.codegen import link
-from .campaign import (
-    CAMPAIGN_SCHEMA, CampaignResult, ProgramResult, fold_results,
-    missing_field_error,
-)
-from .units import Cell, Unit, Workload, run_units
+from .campaign import CAMPAIGN_SCHEMA, CampaignResult, ProgramResult
+from .results import Artifact
+from .units import Cell, Unit, Workload, run_units, stored_fingerprint
 
 #: Artifact schema tag for stored matrix results.
 MATRIX_SCHEMA = "repro-matrix/1"
@@ -106,9 +103,12 @@ def _campaign_levels(compiler: Compiler,
 
 
 @dataclass
-class MatrixCampaignResult:
+class MatrixCampaignResult(Artifact):
     """Every (family, version, debugger) cell's campaign, plus the
-    determinism fingerprints of the shared frontend pool."""
+    determinism fingerprints of the shared frontend pool (the
+    ``repro-matrix/1`` artifact)."""
+
+    SCHEMA = MATRIX_SCHEMA
 
     pool_size: int = 0
     cells: Dict[MatrixCellKey, CampaignResult] = field(
@@ -169,9 +169,8 @@ class MatrixCampaignResult:
 
     # -- serialization --------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
+    def _fields(self) -> Dict[str, object]:
         return {
-            "schema": MATRIX_SCHEMA,
             "pool_size": self.pool_size,
             "fingerprints": {str(seed): fp for seed, fp
                              in self.fingerprints.items()},
@@ -184,36 +183,24 @@ class MatrixCampaignResult:
             ],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The ``repro-matrix/1`` artifact document (field-by-field
-        spec in ``docs/ARTIFACTS.md``)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
-    def from_dict(cls, data: Dict[str, object]
-                  ) -> "MatrixCampaignResult":
-        schema = data.get("schema")
-        if schema != MATRIX_SCHEMA:
-            raise ValueError(
-                f"not a matrix artifact: schema {schema!r} "
-                f"(expected {MATRIX_SCHEMA!r})")
-        try:
-            result = cls(pool_size=data["pool_size"])
-            result.fingerprints = {int(seed): fp for seed, fp
-                                   in data["fingerprints"].items()}
-            for cell in data["cells"]:
-                key = (cell["family"], cell["version"], cell["debugger"])
-                result.cells[key] = CampaignResult.from_dict(
-                    cell["campaign"])
-            return result
-        except KeyError as error:
-            raise missing_field_error(MATRIX_SCHEMA, error) from None
+    def _from_fields(cls, data: Dict[str, object]
+                     ) -> "MatrixCampaignResult":
+        result = cls(pool_size=data["pool_size"])
+        result.fingerprints = {int(seed): fp for seed, fp
+                               in data["fingerprints"].items()}
+        for cell in data["cells"]:
+            key = (cell["family"], cell["version"], cell["debugger"])
+            result.cells[key] = CampaignResult.from_dict(cell["campaign"])
+        return result
 
-    @classmethod
-    def from_json(cls, text: str) -> "MatrixCampaignResult":
-        """Load a stored ``repro-matrix/1`` artifact (see
-        ``docs/ARTIFACTS.md``)."""
-        return cls.from_dict(json.loads(text))
+    def stored_cells(self, debugger: str = ""):
+        """Every campaign cell, under its own debugger."""
+        for key in self.cell_keys():
+            yield from self.cells[key].stored_cells(debugger=key[2])
+
+    def module_fingerprints(self) -> Dict[int, str]:
+        return self.fingerprints
 
     # -- reporting ------------------------------------------------------------
 
@@ -227,14 +214,6 @@ class MatrixCampaignResult:
             rows.append(format_table1_text(campaign))
             rows.append("")
         return "\n".join(rows).rstrip()
-
-
-def merge_matrix_results(results: Iterable[MatrixCampaignResult]
-                         ) -> MatrixCampaignResult:
-    """Fold any number of shard results into one (at least one needed;
-    a single shard is returned unchanged — see
-    :func:`~repro.pipeline.campaign.fold_results`)."""
-    return fold_results(results)
 
 
 def record_session(store, unit: Unit, session: FrontendSession) -> None:
@@ -319,24 +298,16 @@ def matrix_workload(compilers: Sequence[CompilerLike],
         # compiles.  The fingerprint is served from the store when a
         # previous matrix run recorded it; cells filled by plain
         # campaigns need one frontend pass (still zero compiles).
-        fingerprint = store.module_fingerprint(unit.seed)
-        if fingerprint is None:
-            fingerprint = FrontendSession(unit.seed).fingerprint
-            store.record_module_fingerprint(unit.seed, fingerprint)
-        fingerprints[unit.seed] = fingerprint
+        fingerprints[unit.seed] = stored_fingerprint(store, unit.seed)
 
     def result(outcome, store) -> MatrixCampaignResult:
-        matrix = MatrixCampaignResult(pool_size=seeds.count,
-                                      fingerprints=fingerprints)
-        for cell in cells:
-            matrix.cells[(cell.family, cell.version, cell.debugger)] = \
-                CampaignResult(
-                    family=cell.family, version=cell.version,
-                    levels=list(cell.levels), pool_size=seeds.count,
-                    programs=[ProgramResult.from_dict(payload) for payload
-                              in outcome.payloads[cell]],
-                    failures=outcome.failures[cell])
-        return matrix
+        return MatrixCampaignResult(
+            pool_size=seeds.count, fingerprints=fingerprints,
+            cells={(cell.family, cell.version, cell.debugger):
+                   CampaignResult.from_rows(
+                       cell, outcome.payloads[cell], outcome.failures[cell],
+                       seeds.count)
+                   for cell in cells})
 
     return Workload(
         "matrix", cells, lambda store: map(Unit, seeds.seeds()), evaluate,

@@ -61,8 +61,9 @@ from ..metrics.study import (
 from .campaign import CampaignResult
 from .matrix import (
     CompilerLike, DebuggerLike, MatrixCampaignResult,
-    build_cached, matrix_workload, merge_matrix_results,
+    build_cached, matrix_workload,
 )
+from .results import fold_results
 from .units import Workload, run_units
 
 #: Shards handed out per worker; >1 smooths load imbalance between seeds
@@ -435,7 +436,7 @@ def run_matrix_campaign_parallel(
     compiler_specs = tuple(as_compiler_spec(c) for c in compilers)
     debugger_specs = tuple(as_debugger_spec(d) for d in debuggers)
     spec = SeedSpec(base=seed_base, count=pool_size)
-    return merge_matrix_results(map_unit_shards(
+    return fold_results(map_unit_shards(
         matrix_workload,
         lambda n: [(compiler_specs, debugger_specs, seed_shard, levels)
                    for seed_shard in spec.shard(n)],

@@ -21,9 +21,8 @@ since line numbers shift while shrinking.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..compilers.compiler import Compiler
 from ..conjectures.base import Violation
@@ -31,17 +30,13 @@ from ..debugger import NATIVE_DEBUGGERS
 from ..debugger.base import Debugger
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
-from ..faults.records import (
-    FailureRecord, failures_from_dicts, failures_to_dicts,
-    merge_failures,
-)
+from ..faults.records import FailureRecord
 from ..fuzz.generator import generate_validated
 from ..reduce import Reducer, ReductionResult, ReferenceReducer
 from ..triage.triage import triage
-from .campaign import CampaignResult, fold_results, missing_field_error
-from .units import (
-    Cell, Unit, Workload, payload_stats, run_units, seed_positions,
-)
+from .campaign import CampaignResult
+from .results import FieldRecord, WitnessResult, seed_positions
+from .units import Cell, Unit, Workload, run_units
 
 #: Artifact schema tag; bump only with a migration path in ``from_dict``.
 REDUCE_SCHEMA = "repro-reduce/1"
@@ -51,8 +46,10 @@ ENGINES = ("fast", "parallel", "reference")
 
 
 @dataclass
-class ReductionRecord:
+class ReductionRecord(FieldRecord):
     """One reduced witness."""
+
+    SCHEMA = REDUCE_SCHEMA
 
     seed: int
     level: str
@@ -79,38 +76,18 @@ class ReductionRecord:
         keys witnesses by, and what shard merges must keep disjoint."""
         return (self.seed, self.level, self.conjecture, self.variable)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "level": self.level,
-            "conjecture": self.conjecture,
-            "variable": self.variable,
-            "function": self.function,
-            "line": self.line,
-            "culprit": self.culprit,
-            "method": self.method,
-            "original_size": self.original_size,
-            "reduced_size": self.reduced_size,
-            "steps_tried": self.steps_tried,
-            "steps_accepted": self.steps_accepted,
-            "reduced_source": self.reduced_source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ReductionRecord":
-        try:
-            return cls(**{name: data[name] for name in (
-                "seed", "level", "conjecture", "variable", "function",
-                "line", "culprit", "method", "original_size",
-                "reduced_size", "steps_tried", "steps_accepted",
-                "reduced_source")})
-        except KeyError as error:
-            raise missing_field_error(REDUCE_SCHEMA, error) from None
-
 
 @dataclass
-class ReductionCampaignResult:
-    """Every reduced witness of one campaign (``repro-reduce/1``)."""
+class ReductionCampaignResult(WitnessResult):
+    """Every reduced witness of one campaign (``repro-reduce/1``).
+
+    Identity is the full reduction cell — compiler, debugger *and*
+    engine — since records from different engines are not comparable.
+    """
+
+    SCHEMA = REDUCE_SCHEMA
+    IDENTITY = ("family", "version", "debugger", "engine")
+    ITEM = ReductionRecord
 
     family: str
     version: str
@@ -131,100 +108,13 @@ class ReductionCampaignResult:
     def total(self, attr: str) -> int:
         return sum(getattr(record, attr) for record in self.records)
 
-    # -- merging -----------------------------------------------------------------
-
-    def merge(self, other: "ReductionCampaignResult"
-              ) -> "ReductionCampaignResult":
-        """Combine two shard results (disjoint witness sets required).
-
-        Identity is the full reduction cell — compiler, debugger *and*
-        engine — since records from different engines are not
-        comparable.  Records renormalize to seed order (stable, so a
-        program's per-level witness order is preserved) and the oracle
-        accounting is summed key-wise.
-        """
-        mine = (self.family, self.version, self.debugger, self.engine)
-        theirs = (other.family, other.version, other.debugger,
-                  other.engine)
-        if mine != theirs:
-            raise ValueError(
-                f"cannot merge reduction campaigns of different cells: "
-                f"{'/'.join(mine)} vs {'/'.join(theirs)}")
-        overlap = {record.witness_key() for record in self.records} & \
-            {record.witness_key() for record in other.records}
-        if overlap:
-            raise ValueError(
-                f"cannot merge reduction campaigns with overlapping "
-                f"witnesses (would double-count): "
-                f"{sorted(overlap)[:3]}...")
-        stats = dict(self.stats)
-        for key, value in other.stats.items():
-            stats[key] = stats.get(key, 0) + value
-        records = sorted(self.records + other.records,
-                         key=lambda record: record.seed)
-        return ReductionCampaignResult(
-            family=self.family, version=self.version,
-            debugger=self.debugger, engine=self.engine,
-            pool_size=self.pool_size + other.pool_size,
-            records=records, stats=stats,
-            failures=merge_failures(self.failures, other.failures))
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "schema": REDUCE_SCHEMA,
-            "family": self.family,
-            "version": self.version,
-            "debugger": self.debugger,
-            "engine": self.engine,
-            "pool_size": self.pool_size,
-            "records": [record.to_dict() for record in self.records],
-            "stats": dict(sorted(self.stats.items())),
-        }
-        if self.failures:
-            data["failures"] = failures_to_dicts(self.failures)
-        return data
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The ``repro-reduce/1`` artifact document (field-by-field
-        spec in ``docs/ARTIFACTS.md``); render it with ``repro-report``
-        or :func:`repro.report.reduce_table`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]
-                  ) -> "ReductionCampaignResult":
-        schema = data.get("schema")
-        if schema != REDUCE_SCHEMA:
-            raise ValueError(
-                f"not a reduction artifact: schema {schema!r} "
-                f"(expected {REDUCE_SCHEMA!r})")
-        try:
-            return cls(
-                family=data["family"], version=data["version"],
-                debugger=data["debugger"], engine=data["engine"],
-                pool_size=data["pool_size"],
-                records=[ReductionRecord.from_dict(r)
-                         for r in data["records"]],
-                stats=dict(data["stats"]),
-                failures=failures_from_dicts(data.get("failures", ())))
-        except KeyError as error:
-            raise missing_field_error(REDUCE_SCHEMA, error) from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReductionCampaignResult":
-        """Load a stored ``repro-reduce/1`` artifact (see
-        ``docs/ARTIFACTS.md``)."""
-        return cls.from_dict(json.loads(text))
-
-
-def merge_reduction_results(results: Iterable[ReductionCampaignResult]
-                            ) -> ReductionCampaignResult:
-    """Fold any number of shard results into one (at least one needed;
-    a single shard is returned unchanged — see
-    :func:`~repro.pipeline.campaign.fold_results`)."""
-    return fold_results(results, what="reduction results")
+    def rows(self, store):
+        positions = seed_positions(record.seed for record in self.records)
+        for record, position in zip(self.records, positions):
+            yield (record.seed, witness_item(record.level,
+                                             record.conjecture,
+                                             record.variable),
+                   position, record.to_dict())
 
 
 def iter_witnesses(campaign: CampaignResult
@@ -253,7 +143,7 @@ def witness_units(campaign: CampaignResult, limit: Optional[int] = None
                   ) -> Iterator[Unit]:
     """One unit per witness, in :func:`iter_witnesses` order and at
     most ``limit``: item and key :func:`witness_item`, position from
-    :func:`~repro.pipeline.units.seed_positions`, subject ``(level,
+    :func:`~repro.pipeline.results.seed_positions`, subject ``(level,
     violation)``."""
     witnesses = list(itertools.islice(iter_witnesses(campaign), limit))
     positions = seed_positions(seed for seed, _level, _v in witnesses)
@@ -308,22 +198,15 @@ def reduction_workload(campaign: CampaignResult, engine: str,
             reduced_source=reduction.source).to_dict()
         if reduction.stats is not None:
             # Each witness carries its own slice of the oracle
-            # accounting (see payload_stats).
+            # accounting (summed by ``from_rows``).
             payload["stats"] = reduction.stats.as_dict()
         return None, {cell: payload}
 
-    def result(outcome, store) -> ReductionCampaignResult:
-        payloads = outcome.payloads[cell]
-        return ReductionCampaignResult(
-            family=campaign.family, version=campaign.version,
-            debugger=debugger.name, engine=engine,
-            pool_size=campaign.pool_size,
-            records=[ReductionRecord.from_dict(p) for p in payloads],
-            stats=payload_stats(payloads),
-            failures=outcome.failures[cell])
-
     return Workload(name, [cell], lambda store: witness_units(campaign, limit),
-                    evaluate, result,
+                    evaluate,
+                    lambda outcome, store: ReductionCampaignResult.from_rows(
+                        cell, outcome.payloads[cell], outcome.failures[cell],
+                        campaign.pool_size),
                     run_attrs={"pool_size": campaign.pool_size})
 
 

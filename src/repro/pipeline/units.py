@@ -5,13 +5,15 @@ of *units* — a seed, or one witness of a seed — over one or more
 *cells*, the store's run identities, under one contract:
 
 * a unit a cell already evaluated is replayed from the
-  :class:`~repro.store.CampaignStore`; with ``retry_failed=False`` a
+  :class:`~repro.store.CampaignStore`, with the recovered failure
+  record its evaluation left, if any; with ``retry_failed=False`` a
   stored quarantine is carried forward instead of retried;
 * the remaining (live) cells are computed together, once, under one
   :class:`~repro.faults.boundary.FailureBoundary`, and a contained
   failure is filed under every live cell (``with_cell``);
 * a quarantine is persisted so the next run retries it; a payload is
-  written through (``store_write``) and clears the cell's quarantine;
+  written through (``store_write``) and replaces the cell's quarantine
+  with its recovered record, or clears it;
 * ``KeyboardInterrupt`` checkpoints the store before propagating, and
   each cell's failures come back sorted and deduplicated.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..compilers.frontend import FrontendSession
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS, FailureBoundary
 from ..faults.plan import FaultPlan
 from ..faults.records import FailureRecord, merge_failures
@@ -87,7 +90,8 @@ class Workload:
     #: ``evaluate(probe, unit, live) -> (shared, {cell: payload})`` for
     #: the live cells, under containment; ``shared`` goes to the hooks.
     evaluate: Callable[..., Tuple[object, Dict[Cell, Payload]]]
-    #: ``result(outcome, store)``: fold the outcome into the typed result.
+    #: ``result(outcome, store)``: the typed result, built from each
+    #: cell's payloads and failures by ``CellResult.from_rows``.
     result: Callable[[UnitOutcome, object], object]
     #: Hook ``extra_writes(store, unit, shared)``: writes that go with
     #: each cell's payload, inside its guarded store write.
@@ -99,27 +103,18 @@ class Workload:
     run_attrs: Optional[Dict[str, object]] = None
 
 
-def payload_stats(payloads: Iterable[Payload]) -> Dict[str, int]:
-    """Sum the per-unit ``stats`` shares witness payloads carry, so a
-    resumed or exported run reassembles the exact aggregate (int sums
-    are order-independent)."""
-    totals: Dict[str, int] = {}
-    for payload in payloads:
-        for key, value in payload.get("stats", {}).items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
-
-
-def seed_positions(seeds: Iterable[int]) -> Iterable[int]:
-    """For seeds listed in unit order, each unit's index among its
-    seed's units: the ``position`` witness rows are stored under.
-    Export orders by seed, then position, and a sharded run's program
-    slices never split a seed, so serial, sharded and resumed runs
-    number every witness alike."""
-    counts: Dict[int, int] = {}
-    for seed in seeds:
-        counts[seed] = counts.get(seed, -1) + 1
-        yield counts[seed]
+def stored_fingerprint(store, seed: int, session=None) -> str:
+    """The lowered-module digest ``store`` records for ``seed``; when
+    none is recorded yet, lower the program (through ``session``, or a
+    fresh :class:`~repro.compilers.frontend.FrontendSession`) and
+    record it, so later runs and ingests find it."""
+    fingerprint = store.module_fingerprint(seed)
+    if fingerprint is None:
+        if session is None:
+            session = FrontendSession(seed)
+        fingerprint = session.fingerprint
+        store.record_module_fingerprint(seed, fingerprint)
+    return fingerprint
 
 
 def persist_failure(store, run: int, record: FailureRecord) -> None:
@@ -134,20 +129,22 @@ def persist_failure(store, run: int, record: FailureRecord) -> None:
         return
 
 
-def stored_failure(store, run: int, seed: int, item: str = ""
-                   ) -> Optional[FailureRecord]:
-    """The quarantine record a previous run left for this unit, if
-    any (best-effort, like :func:`persist_failure`)."""
+def stored_failures(store, run: int
+                    ) -> Dict[Tuple[int, str], FailureRecord]:
+    """``(seed, item) -> record`` for every failure record previous
+    runs left in ``run`` (best-effort, like :func:`persist_failure`)."""
     try:
-        payload = store.get_failure(run, seed, item)
+        payloads = store.failures_for(run)
     except Exception:
-        return None
-    if payload is None:
-        return None
-    try:
-        return FailureRecord.from_dict(payload)
-    except ValueError:
-        return None
+        return {}
+    records = {}
+    for payload in payloads:
+        try:
+            record = FailureRecord.from_dict(payload)
+        except ValueError:
+            continue
+        records[(record.seed, record.item)] = record
+    return records
 
 
 def run_units(workload: Workload, store=None,
@@ -164,12 +161,14 @@ def run_units(workload: Workload, store=None,
     """
     cells = list(workload.cells)
     runs: Dict[Cell, int] = {}
+    priors: Dict[Cell, Dict[Tuple[int, str], FailureRecord]] = {}
     if store is not None:
         for cell in cells:
             runs[cell] = store.run_id(
                 cell.schema, cell.family, cell.version, cell.levels,
                 debugger=cell.debugger, engine=cell.engine,
                 attrs=workload.run_attrs)
+            priors[cell] = stored_failures(store, runs[cell])
     outcome = UnitOutcome({cell: [] for cell in cells},
                           {cell: [] for cell in cells})
     boundary = FailureBoundary(workload.label, faults=faults,
@@ -184,16 +183,17 @@ def run_units(workload: Workload, store=None,
                 if store is not None:
                     payload = store.get_result(runs[cell], unit.seed,
                                                unit.key)
+                    prior = priors[cell].get((unit.seed, unit.item))
                     if payload is not None:
                         outcome.payloads[cell].append(payload)
+                        if prior is not None:
+                            # The retries the stored payload took.
+                            outcome.failures[cell].append(prior)
                         replayed = True
                         continue
-                    if not retry_failed:
-                        prior = stored_failure(store, runs[cell],
-                                               unit.seed, unit.item)
-                        if prior is not None:
-                            outcome.failures[cell].append(prior)
-                            continue
+                    if not retry_failed and prior is not None:
+                        outcome.failures[cell].append(prior)
+                        continue
                 live.append(cell)
             if not live:
                 if replayed:
@@ -227,7 +227,12 @@ def run_units(workload: Workload, store=None,
                 before = len(boundary.failures)
                 if boundary.store_write(unit.seed, write, item=unit.item,
                                         cell=cell.name):
-                    store.clear_failure(runs[cell], unit.seed, unit.item)
+                    if record is None:
+                        store.clear_failure(runs[cell], unit.seed,
+                                            unit.item)
+                    else:
+                        persist_failure(store, runs[cell],
+                                        record.with_cell(cell.name))
                 # store_write records (recovered or quarantined
                 # store-stage failures) belong to this cell.
                 outcome.failures[cell].extend(boundary.failures[before:])

@@ -34,12 +34,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
-from ..bisect.campaign import BISECT_SCHEMA, BisectCampaignResult
+from ..bisect.campaign import BisectCampaignResult
 from ..metrics.study import STUDY_SCHEMA, StudyResult
-from ..pipeline.campaign import CAMPAIGN_SCHEMA, CampaignResult
-from ..pipeline.matrix import MATRIX_SCHEMA, MatrixCampaignResult
-from ..pipeline.reduction import REDUCE_SCHEMA, ReductionCampaignResult
-from ..staticcheck.campaign import VERIFY_SCHEMA, VerifyCampaignResult
+from ..pipeline.campaign import CampaignResult
+from ..pipeline.matrix import MatrixCampaignResult
+from ..pipeline.reduction import ReductionCampaignResult
+from ..pipeline.results import result_types
+from ..staticcheck.campaign import VerifyCampaignResult
 from ..triage.triage import TriageResult
 
 #: Artifact schema tag; bump only with a migration path in ``from_dict``.
@@ -157,15 +158,6 @@ Artifact = Union[CampaignResult, MatrixCampaignResult, StudyResult,
                  TriageSummary, ReductionCampaignResult,
                  VerifyCampaignResult, BisectCampaignResult]
 
-_LOADERS = {
-    CAMPAIGN_SCHEMA: CampaignResult.from_dict,
-    MATRIX_SCHEMA: MatrixCampaignResult.from_dict,
-    STUDY_SCHEMA: StudyResult.from_dict,
-    TRIAGE_SCHEMA: TriageSummary.from_dict,
-    REDUCE_SCHEMA: ReductionCampaignResult.from_dict,
-    VERIFY_SCHEMA: VerifyCampaignResult.from_dict,
-    BISECT_SCHEMA: BisectCampaignResult.from_dict,
-}
 
 
 def load_artifact(text: Union[str, Dict[str, object]]) -> Artifact:
@@ -179,12 +171,13 @@ def load_artifact(text: Union[str, Dict[str, object]]) -> Artifact:
         raise ValueError(f"not a repro artifact: {type(data).__name__} "
                          f"instead of a JSON object")
     schema = data.get("schema")
-    loader = _LOADERS.get(schema)
-    if loader is None:
+    types = {**result_types(), STUDY_SCHEMA: StudyResult,
+             TRIAGE_SCHEMA: TriageSummary}
+    if schema not in types:
         raise ValueError(
             f"unknown artifact schema {schema!r} "
-            f"(known: {', '.join(sorted(_LOADERS))})")
-    return loader(data)
+            f"(known: {', '.join(sorted(types))})")
+    return types[schema].from_dict(data)
 
 
 #: First bytes of every sqlite3 database file — how artifact loading

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..debugger import NATIVE_DEBUGGERS
 from ..debugger.specs import DEBUGGER_REGISTRY
-from ..pipeline.campaign import missing_field_error
+from ..pipeline.results import missing_field_error
 from ..store import canonical_json
 
 #: Job document schema tag; bump only with a migration path.

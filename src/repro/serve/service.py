@@ -34,10 +34,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..compilers.compiler import CompilerSpec
 from ..faults.plan import FaultPlan
 from ..faults.records import FailureRecord
-from ..pipeline.campaign import (
-    CAMPAIGN_SCHEMA, CampaignResult, ProgramResult,
-)
+from ..pipeline.campaign import CAMPAIGN_SCHEMA, CampaignResult
 from ..pipeline.parallel import RetryPolicy
+from ..pipeline.units import Cell
 from ..store import CampaignStore
 from .jobs import JobSpec
 from .scheduler import (
@@ -224,31 +223,30 @@ class CampaignService:
         returns for the same seed range."""
         status = self.job_status(job_id)
         spec = JobSpec.from_dict(status["spec"])
-        levels = _resolve_levels(spec)
-        run = self.store.run_id(CAMPAIGN_SCHEMA, spec.family,
-                                spec.version, levels,
-                                debugger=spec.debugger)
-        result = CampaignResult(family=spec.family,
-                                version=spec.version,
-                                levels=list(levels),
-                                pool_size=spec.pool_size)
+        cell = Cell(spec.job_id, CAMPAIGN_SCHEMA, spec.family,
+                    spec.version, _resolve_levels(spec),
+                    debugger=spec.debugger)
+        run = self.store.run_id(cell.schema, cell.family, cell.version,
+                                cell.levels, debugger=cell.debugger)
+        payloads: List[Dict[str, object]] = []
         failures: List[FailureRecord] = []
         for seed in range(spec.seed_base,
                           spec.seed_base + spec.pool_size):
+            # A quarantined seed has only a failure record; a recovered
+            # one has both.
             payload = self.store.get_result(run, seed)
-            if payload is not None:
-                result.programs.append(ProgramResult.from_dict(payload))
-                continue
             failure = self.store.get_failure(run, seed)
+            if payload is None and failure is None:
+                raise JobNotFinished(
+                    f"job {job_id} is {status['state']} "
+                    f"({status['detail']}): seed {seed} has no stored "
+                    f"result yet")
+            if payload is not None:
+                payloads.append(payload)
             if failure is not None:
                 failures.append(FailureRecord.from_dict(failure))
-                continue
-            raise JobNotFinished(
-                f"job {job_id} is {status['state']} "
-                f"({status['detail']}): seed {seed} has no stored "
-                f"result yet")
-        result.failures = sorted(failures)
-        return result
+        return CampaignResult.from_rows(cell, payloads, failures,
+                                        spec.pool_size)
 
     def job_artifact(self, job_id: str) -> Dict[str, object]:
         return self.job_result(job_id).to_dict()

@@ -25,7 +25,7 @@ statically detectable, dynamic-only, or both.
 from .availability import StaticCheckError, check_availability
 from .campaign import (
     VERIFY_SCHEMA, VerifyCampaignResult, VerifyProgramResult,
-    merge_verify_results, run_verify_campaign, run_verify_campaign_parallel,
+    run_verify_campaign, run_verify_campaign_parallel,
     run_verify_campaign_seeds,
 )
 from .dies import check_dies
@@ -43,7 +43,6 @@ __all__ = [
     "check_availability",
     "check_dies",
     "check_lines",
-    "merge_verify_results",
     "run_verify_campaign",
     "run_verify_campaign_parallel",
     "run_verify_campaign_seeds",

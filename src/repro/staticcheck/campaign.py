@@ -9,7 +9,8 @@ one compile per cell is the entire cost, which is what makes the
 ROADMAP's "verify millions of builds" axis feasible.
 
 Results are pure, mergeable values exactly like
-:class:`~repro.pipeline.campaign.CampaignResult`: shard merges are
+:class:`~repro.pipeline.campaign.CampaignResult` (both are
+:class:`~repro.pipeline.results.CellResult` types): shard merges are
 associative over disjoint seed ranges, serialization round-trips via
 the ``repro-verify/1`` artifact (``docs/ARTIFACTS.md``), and every
 driver here runs :func:`verify_workload` through the pipeline's one
@@ -23,24 +24,20 @@ seeds with confidence that both saw the same programs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..compilers.compiler import Compiler
 from ..compilers.frontend import FrontendSession
 from ..faults.boundary import DEFAULT_MAX_ATTEMPTS
 from ..faults.plan import FaultPlan
-from ..faults.records import (
-    FailureRecord, failures_from_dicts, failures_to_dicts,
-    merge_failures,
-)
+from ..faults.records import FailureRecord
 from ..fuzz.seeds import SeedSpec
-from ..pipeline.campaign import fold_results, missing_field_error
 from ..pipeline.matrix import CompilerLike, _build_compiler, record_session
 from ..pipeline.parallel import (
     RetryPolicy, as_compiler_spec, map_unit_shards,
 )
+from ..pipeline.results import CellResult, fold_results
 from ..pipeline.units import Cell, Unit, Workload, run_units
 from .findings import Finding
 from .verifier import verify_compilation
@@ -89,24 +86,25 @@ class VerifyProgramResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "VerifyProgramResult":
-        try:
-            return cls(
-                seed=data["seed"],
-                fingerprint=data.get("fingerprint", ""),
-                findings={
-                    level: [Finding.from_dict(f) for f in found]
-                    for level, found in data["findings"].items()
-                },
-                fired={level: list(ids)
-                       for level, ids in data.get("fired", {}).items()},
-            )
-        except KeyError as error:
-            raise missing_field_error(VERIFY_SCHEMA, error) from None
+        return cls(
+            seed=data["seed"],
+            fingerprint=data.get("fingerprint", ""),
+            findings={
+                level: [Finding.from_dict(f) for f in found]
+                for level, found in data["findings"].items()
+            },
+            fired={level: list(ids)
+                   for level, ids in data.get("fired", {}).items()},
+        )
 
 
 @dataclass
-class VerifyCampaignResult:
-    """Aggregated static-verification campaign."""
+class VerifyCampaignResult(CellResult):
+    """Aggregated static-verification campaign (the ``repro-verify/1``
+    artifact)."""
+
+    SCHEMA = VERIFY_SCHEMA
+    ITEM = VerifyProgramResult
 
     family: str
     version: str
@@ -134,88 +132,9 @@ class VerifyCampaignResult:
         """True when no compile produced any finding."""
         return self.finding_count() == 0
 
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "VerifyCampaignResult"
-              ) -> "VerifyCampaignResult":
-        """Combine two shard results (disjoint seed ranges required)."""
-        if (self.family, self.version) != (other.family, other.version):
-            raise ValueError(
-                f"cannot merge verify campaigns of different compilers: "
-                f"{self.family}-{self.version} vs "
-                f"{other.family}-{other.version}")
-        if sorted(self.levels) != sorted(other.levels):
-            # Order-insensitive like CampaignResult.merge: per-level
-            # findings are keyed by level name, so only a different
-            # level *set* is a real mismatch; the merged result keeps
-            # the left shard's display order.
-            raise ValueError(
-                f"cannot merge verify campaigns over different level "
-                f"sets: {self.levels} vs {other.levels}")
-        overlap = {p.seed for p in self.programs} & \
-            {p.seed for p in other.programs}
-        if overlap:
-            raise ValueError(
-                f"cannot merge verify campaigns with overlapping seed "
-                f"ranges (would double-count): {sorted(overlap)[:5]}...")
-        programs = sorted(self.programs + other.programs,
-                          key=lambda result: result.seed)
-        return VerifyCampaignResult(
-            family=self.family, version=self.version,
-            levels=list(self.levels),
-            pool_size=self.pool_size + other.pool_size,
-            programs=programs,
-            failures=merge_failures(self.failures, other.failures))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "schema": VERIFY_SCHEMA,
-            "family": self.family,
-            "version": self.version,
-            "levels": list(self.levels),
-            "pool_size": self.pool_size,
-            "programs": [p.to_dict() for p in self.programs],
-        }
-        if self.failures:
-            data["failures"] = failures_to_dicts(self.failures)
-        return data
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The ``repro-verify/1`` artifact document (specified in
-        ``docs/ARTIFACTS.md``); render with ``repro-report verify``."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "VerifyCampaignResult":
-        schema = data.get("schema")
-        if schema != VERIFY_SCHEMA:
-            raise ValueError(
-                f"not a verify artifact: schema {schema!r} "
-                f"(expected {VERIFY_SCHEMA!r})")
-        try:
-            return cls(
-                family=data["family"], version=data["version"],
-                levels=list(data["levels"]), pool_size=data["pool_size"],
-                programs=[VerifyProgramResult.from_dict(p)
-                          for p in data["programs"]],
-                failures=failures_from_dicts(data.get("failures", ())))
-        except KeyError as error:
-            raise missing_field_error(VERIFY_SCHEMA, error) from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerifyCampaignResult":
-        """Load a stored ``repro-verify/1`` artifact."""
-        return cls.from_dict(json.loads(text))
-
-
-def merge_verify_results(results: Iterable[VerifyCampaignResult]
-                         ) -> VerifyCampaignResult:
-    """Fold any number of shard results into one (at least one needed;
-    a single shard is returned unchanged — see
-    :func:`~repro.pipeline.campaign.fold_results`)."""
-    return fold_results(results)
+    def module_fingerprints(self) -> Dict[int, str]:
+        return {program.seed: program.fingerprint
+                for program in self.programs if program.fingerprint}
 
 
 # -- drivers ------------------------------------------------------------------
@@ -251,16 +170,12 @@ def verify_workload(compiler: CompilerLike, seeds: SeedSpec,
                 program_result.fired[level] = fired
         return session, {cell: program_result.to_dict()}
 
-    def result(outcome, store) -> VerifyCampaignResult:
-        return VerifyCampaignResult(
-            family=compiler.family, version=compiler.version,
-            levels=levels, pool_size=seeds.count,
-            programs=[VerifyProgramResult.from_dict(payload)
-                      for payload in outcome.payloads[cell]],
-            failures=outcome.failures[cell])
-
     return Workload(name, [cell], lambda store: map(Unit, seeds.seeds()),
-                    evaluate, result, extra_writes=record_session)
+                    evaluate,
+                    lambda outcome, store: VerifyCampaignResult.from_rows(
+                        cell, outcome.payloads[cell], outcome.failures[cell],
+                        seeds.count),
+                    extra_writes=record_session)
 
 
 def run_verify_campaign_seeds(compiler: CompilerLike, seeds: SeedSpec,
@@ -326,7 +241,7 @@ def run_verify_campaign_parallel(compiler, pool_size: int = 100,
     """
     compiler_spec = as_compiler_spec(compiler)
     spec = SeedSpec(base=seed_base, count=pool_size)
-    return merge_verify_results(map_unit_shards(
+    return fold_results(map_unit_shards(
         verify_workload,
         lambda n: [(compiler_spec, seed_shard, levels)
                    for seed_shard in spec.shard(n)],

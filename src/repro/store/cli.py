@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("store", help="sqlite file path")
     sub.add_argument("artifacts", nargs="+",
                      help="artifact JSON paths (campaign / matrix / "
-                          "verify / reduction schemas)")
+                          "verify / reduction / bisect schemas)")
     sub.add_argument("--debugger", default="",
                      help="cell debugger name for repro-campaign/1 "
                           "inputs (the artifact does not record it)")

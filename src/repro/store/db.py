@@ -29,9 +29,9 @@ Layout (schema tag ``repro-db/2``; field-by-field spec in
                        for reduction (key ``level/conjecture/variable``) and
                        bisection (key = witness fingerprint) runs, whose
                        position is the witness's enumeration index
-``failures``           (run, seed, item key) -> quarantined failure record
-                       blob (see :mod:`repro.faults`) — what a resumed run
-                       retries; created on demand in pre-failure stores
+``failures``           (run, seed, item key) -> failure record blob (see
+                       :mod:`repro.faults`): a quarantine a resumed run
+                       retries, or the recovered record of a stored unit
 =====================  ======================================================
 
 Everything the JSON artifacts serialize round-trips through the store
@@ -201,7 +201,7 @@ class StoreStats:
     programs_added: int = 0
     blob_inserts: int = 0
     blob_reuses: int = 0     # content-hash dedup: text already present
-    failures_recorded: int = 0   # quarantined pairs written
+    failures_recorded: int = 0   # failure records written
     failures_cleared: int = 0    # quarantined pairs retried successfully
 
     def as_dict(self) -> Dict[str, int]:
@@ -457,21 +457,6 @@ class CampaignStore:
                 "UPDATE runs SET attrs = ? WHERE id = ?",
                 (canonical_json(existing), run_id))
 
-    @_retries_busy
-    def set_run_attrs(self, run_id: int, **attrs: object) -> None:
-        """Overwrite run attributes (used for end-of-run aggregates that
-        legitimately change across resumes, e.g. reduction stats)."""
-        row = self._conn.execute(
-            "SELECT attrs FROM runs WHERE id = ?", (run_id,)).fetchone()
-        if row is None:
-            raise StoreError(f"no run {run_id} in {self.path!r}")
-        existing = json.loads(row["attrs"])
-        existing.update(attrs)
-        with self._conn:
-            self._conn.execute(
-                "UPDATE runs SET attrs = ? WHERE id = ?",
-                (canonical_json(existing), run_id))
-
     def run_info(self, run_id: int) -> RunInfo:
         row = self._conn.execute(
             "SELECT * FROM runs WHERE id = ?", (run_id,)).fetchone()
@@ -689,56 +674,22 @@ class CampaignStore:
                     " ORDER BY seed, position, key", (run_id,))]
 
     def _load(self, info: RunInfo):
-        from ..bisect.campaign import (
-            BISECT_SCHEMA, BisectCampaignResult, bisect_records,
-        )
         from ..faults.records import FailureRecord
-        from ..pipeline.campaign import (
-            CAMPAIGN_SCHEMA, CampaignResult, ProgramResult,
-        )
-        from ..pipeline.reduction import (
-            REDUCE_SCHEMA, ReductionCampaignResult, ReductionRecord,
-        )
-        from ..pipeline.units import payload_stats
-        from ..staticcheck.campaign import (
-            VERIFY_SCHEMA, VerifyCampaignResult, VerifyProgramResult,
-        )
-        payloads = self._result_payloads(info.id)
-        # Typed and sorted, the form the drivers keep on their results,
-        # so a loaded run compares equal to the live one.
-        failures = sorted(FailureRecord.from_dict(payload)
-                          for payload in self.failures_for(info.id))
-        seeded = {CAMPAIGN_SCHEMA: (CampaignResult, ProgramResult),
-                  VERIFY_SCHEMA: (VerifyCampaignResult,
-                                  VerifyProgramResult)}
-        if info.schema in seeded:
-            result_type, program_type = seeded[info.schema]
-            return result_type(
-                family=info.family, version=info.version,
-                levels=list(info.levels),
-                pool_size=info.attrs.get("pool_size", len(payloads)),
-                programs=[program_type.from_dict(payload)
-                          for payload in payloads],
-                failures=failures)
-        # Ingested witness artifacts carry only the aggregate stats,
-        # kept on the run; live rows carry per-witness shares.
-        stats = dict(info.attrs.get("stats", payload_stats(payloads)))
-        pool_size = info.attrs.get("pool_size", 0)
-        if info.schema == REDUCE_SCHEMA:
-            return ReductionCampaignResult(
-                family=info.family, version=info.version,
-                debugger=info.debugger, engine=info.engine,
-                pool_size=pool_size,
-                records=[ReductionRecord.from_dict(payload)
-                         for payload in payloads],
-                stats=stats, failures=failures)
-        if info.schema == BISECT_SCHEMA:
-            return BisectCampaignResult(
-                family=info.family, version=info.version,
-                pool_size=pool_size, records=bisect_records(payloads),
-                stats=stats, failures=failures)
-        raise StoreError(f"run {info.id} has unloadable schema "
-                         f"{info.schema!r}")
+        from ..pipeline.results import CellResult, result_types
+        result_type = result_types().get(info.schema)
+        if result_type is None or not issubclass(result_type, CellResult):
+            raise StoreError(f"run {info.id} has unloadable schema "
+                             f"{info.schema!r}")
+        result = result_type.from_rows(
+            info, self._result_payloads(info.id),
+            [FailureRecord.from_dict(payload)
+             for payload in self.failures_for(info.id)],
+            info.attrs.get("pool_size"))
+        if "stats" in info.attrs:
+            # An ingested witness artifact carries only its aggregate
+            # stats, kept on the run; live rows carry per-witness shares.
+            result.stats = dict(info.attrs["stats"])
+        return result
 
     def export_matrix(self, run_ids: Optional[Iterable[int]] = None):
         """Assemble a :class:`~repro.pipeline.matrix.MatrixCampaignResult`
@@ -776,144 +727,62 @@ class CampaignStore:
                     f"no module fingerprint recorded for seed {seed}; "
                     f"cannot assemble a repro-matrix/1 artifact")
             fingerprints[seed] = fingerprint
-        matrix = MatrixCampaignResult(pool_size=len(seeds),
-                                      fingerprints=fingerprints)
+        matrix = MatrixCampaignResult(fingerprints=fingerprints)
         for info in chosen:
             key = (info.family, info.version, info.debugger)
             if key in matrix.cells:
                 raise StoreError(
                     f"two stored cells share the matrix key {key}; "
                     f"pass run_ids to disambiguate")
-            matrix.cells[key] = self._load(info)
+            matrix.cells[key] = cell = self._load(info)
+            # Every cell counts the same seeds, quarantined ones too.
+            matrix.pool_size = cell.pool_size
         return matrix
 
     # -- artifact ingest -----------------------------------------------------
 
     def ingest(self, artifact, debugger: str = "") -> List[int]:
-        """Store an existing artifact's contents; returns the run ids
-        it landed in.
+        """Store an existing artifact's contents under the exact rows a
+        live run would resume; returns the run ids it landed in.
 
-        Accepts the campaign / matrix / verify / reduction results
-        (anything :func:`repro.report.load_artifact` returns for those
-        schemas).  A ``repro-campaign/1`` artifact does not record which
-        debugger produced it; pass ``debugger`` to file it under the
-        cell a live run would resume.
+        Accepts every keyed-unit result (campaign, matrix, verify,
+        reduction, bisection — see
+        :func:`~repro.pipeline.results.result_types`).  A
+        ``repro-campaign/1`` artifact does not record which debugger
+        produced it; pass ``debugger`` to file it under the cell a live
+        run would resume.  A bisection row key hashes the seed's
+        lowered module, lowered here when the store has none recorded.
         """
-        from ..bisect.campaign import BisectCampaignResult
-        from ..pipeline.campaign import CAMPAIGN_SCHEMA, CampaignResult
-        from ..pipeline.matrix import MatrixCampaignResult
-        from ..pipeline.reduction import ReductionCampaignResult
-        from ..staticcheck.campaign import (
-            VERIFY_SCHEMA, VerifyCampaignResult,
-        )
-        if isinstance(artifact, CampaignResult):
-            return [self._ingest_programs(CAMPAIGN_SCHEMA, artifact,
-                                          debugger)]
-        if isinstance(artifact, BisectCampaignResult):
-            return [self._ingest_bisect(artifact)]
-        if isinstance(artifact, MatrixCampaignResult):
-            run_ids = []
-            for (family, version, cell_debugger) in artifact.cell_keys():
-                run_ids.append(self._ingest_programs(
-                    CAMPAIGN_SCHEMA,
-                    artifact.cells[(family, version, cell_debugger)],
-                    cell_debugger))
-            for seed, fingerprint in artifact.fingerprints.items():
-                self.record_module_fingerprint(seed, fingerprint)
-            return run_ids
-        if isinstance(artifact, VerifyCampaignResult):
-            return [self._ingest_programs(VERIFY_SCHEMA, artifact)]
-        if isinstance(artifact, ReductionCampaignResult):
-            return [self._ingest_reduction(artifact)]
-        raise StoreError(
-            f"{type(artifact).__name__} artifacts are not stored in a "
-            f"campaign store (supported: campaign, matrix, verify, "
-            f"reduction, bisect results)")
-
-    def _ingest_failures(self, run: int, failures) -> None:
-        for record in failures:
-            self.put_failure(run, record.seed, record.item,
-                             record.to_dict())
-
-    def _ingest_programs(self, schema: str, campaign,
-                         debugger: str = "") -> int:
-        """A campaign or verify artifact: one seed row per program."""
-        attrs = {}
-        if campaign.pool_size != len(campaign.programs):
-            attrs["pool_size"] = campaign.pool_size
-        run = self.run_id(schema, campaign.family, campaign.version,
-                          campaign.levels, debugger=debugger, attrs=attrs)
-        for program in campaign.programs:
-            self.put_result(run, program.seed, program.to_dict())
-            # Verify programs carry their lowered-module fingerprint.
-            if getattr(program, "fingerprint", ""):
-                self.record_module_fingerprint(program.seed,
-                                               program.fingerprint)
-        self._ingest_failures(run, campaign.failures)
-        return run
-
-    def _ingest_reduction(self, reduction) -> int:
-        from ..pipeline.reduction import REDUCE_SCHEMA, witness_item
-        from ..pipeline.units import seed_positions
-        run = self.run_id(
-            REDUCE_SCHEMA, reduction.family, reduction.version, (),
-            debugger=reduction.debugger, engine=reduction.engine,
-            attrs={"pool_size": reduction.pool_size})
-        positions = seed_positions(r.seed for r in reduction.records)
-        for record, position in zip(reduction.records, positions):
-            self.put_result(
-                run, record.seed, record.to_dict(),
-                key=witness_item(record.level, record.conjecture,
-                                 record.variable),
-                position=position)
-        self._ingest_failures(run, reduction.failures)
-        # Ingested artifacts carry only the aggregate stats; keep them
-        # on the run so export reproduces the document exactly.
-        self.set_run_attrs(run, stats=dict(reduction.stats))
-        return run
-
-    def _ingest_bisect(self, result) -> int:
-        """File a ``repro-bisect/1`` artifact under the exact rows a
-        live run would resume.  Bisection rows are keyed by witness
-        fingerprint, which hashes the lowered module's digest — when
-        the store has no recorded fingerprint for a seed, the module
-        is lowered here (a frontend-only cost, paid once per seed and
-        recorded, so later live runs resume for free)."""
-        from ..bisect.campaign import BISECT_SCHEMA, witness_fingerprint
-        from ..pipeline.units import seed_positions
-        run = self.run_id(BISECT_SCHEMA, result.family, result.version,
-                          ())
-        groups: Dict[Tuple[int, str, str, str], List] = {}
-        for record in result.records:
-            key = (record.seed, record.level, record.conjecture,
-                   record.variable)
-            groups.setdefault(key, []).append(record)
-        module_fps: Dict[int, str] = {}
-        positions = seed_positions(seed for seed, *_ in groups)
-        for (key, records), position in zip(groups.items(), positions):
-            seed, level, conjecture, variable = key
-            module_fp = module_fps.get(seed)
-            if module_fp is None:
-                module_fp = self.module_fingerprint(seed)
-            if module_fp is None:
-                from ..compilers.frontend import FrontendSession
-                module_fp = FrontendSession(seed).fingerprint
-                self.record_module_fingerprint(seed, module_fp)
-            module_fps[seed] = module_fp
-            fingerprint = witness_fingerprint(module_fp, level,
-                                              conjecture, variable)
-            self.put_result(run, seed, {
-                "witness": {"seed": seed, "level": level,
-                            "conjecture": conjecture,
-                            "variable": variable},
-                "records": [r.to_dict() for r in records],
-            }, key=fingerprint, position=position)
-        self._ingest_failures(run, result.failures)
-        # Ingested artifacts carry only the aggregate stats; keep them
-        # on the run so export reproduces the document exactly.
-        self.set_run_attrs(run, stats=dict(result.stats),
-                           pool_size=result.pool_size)
-        return run
+        from ..pipeline.results import result_types
+        if type(artifact) not in result_types().values():
+            raise StoreError(
+                f"{type(artifact).__name__} artifacts are not stored in "
+                f"a campaign store (supported: campaign, matrix, verify, "
+                f"reduction, bisect results)")
+        run_ids = []
+        for cell, result in artifact.stored_cells(debugger):
+            rows = list(result.rows(self))
+            # The run keeps what its rows do not imply: a pool other
+            # than the seeds they count, and unsplit aggregate stats.
+            counted = {seed for seed, *_ in rows} | \
+                {record.seed for record in result.failures}
+            attrs = {} if result.pool_size == len(counted) else \
+                {"pool_size": result.pool_size}
+            if result.STATS:
+                attrs["stats"] = dict(result.stats)
+            run = self.run_id(cell.schema, cell.family, cell.version,
+                              cell.levels, debugger=cell.debugger,
+                              engine=cell.engine, attrs=attrs)
+            for seed, key, position, payload in rows:
+                self.put_result(run, seed, payload, key=key,
+                                position=position)
+            for record in result.failures:
+                self.put_failure(run, record.seed, record.item,
+                                 record.to_dict())
+            run_ids.append(run)
+        for seed, fingerprint in artifact.module_fingerprints().items():
+            self.record_module_fingerprint(seed, fingerprint)
+        return run_ids
 
     # -- statistics ----------------------------------------------------------
 

@@ -13,12 +13,13 @@ x both families (100% of fired records), plus:
   probe economy;
 * probe-count bounds per record and memoization accounting;
 * log-derived isolated probes equal single-defect compiles;
-* serial == sharded bit-identity and store-backed resume with zero
-  recompiles;
-* artifact round-trip, merge algebra edges, report and CLI surface.
+* store-backed resume with zero recompiles (serial == sharded lives in
+  ``tests/test_unit_drivers.py``);
+* fold edges, record round-trip, report and CLI surface (round-trip,
+  foreign-schema and merge rejection live in
+  ``tests/test_merge_algebra.py``).
 """
 
-import json
 import math
 import os
 
@@ -27,13 +28,12 @@ import pytest
 from repro.bisect import (
     BISECT_SCHEMA, BisectCampaignResult, BisectOutcome, BisectRecord,
     VersionProber, bisect_defect, expected_window, family_versions,
-    merge_bisect_results, pass_support, run_bisect_campaign,
-    run_bisect_campaign_parallel, witness_fingerprint,
+    pass_support, run_bisect_campaign, witness_fingerprint,
 )
 from repro.bugs.catalog import defects_for_family
 from repro.compilers import Compiler
 from repro.debugger import GdbLike, LldbLike
-from repro.pipeline import run_campaign
+from repro.pipeline import fold_results, run_campaign
 from repro.report.model import load_artifact
 from repro.store import CampaignStore
 
@@ -325,17 +325,7 @@ def test_requested_unknown_defect_rejected(small_campaign):
         run_bisect_campaign(small_campaign, defects=("no-such-defect",))
 
 
-# -- serial == sharded, store resume ------------------------------------------
-
-
-def test_sharded_bit_identical_to_serial(small_campaign, small_bisect):
-    reference = small_bisect.to_json(indent=2)
-    sharded = run_bisect_campaign_parallel(small_campaign, workers=2,
-                                           start_method="spawn")
-    assert sharded.to_json(indent=2) == reference
-    # In-process worker path too.
-    inproc = run_bisect_campaign_parallel(small_campaign, workers=1)
-    assert inproc.to_json(indent=2) == reference
+# -- store resume -------------------------------------------------------------
 
 
 def test_store_resume_bit_identical_zero_recompiles(
@@ -361,31 +351,6 @@ def test_store_resume_bit_identical_zero_recompiles(
 # -- artifact algebra and serialization ---------------------------------------
 
 
-def test_artifact_round_trip(small_bisect):
-    payload = small_bisect.to_json(indent=2)
-    loaded = load_artifact(payload)
-    assert isinstance(loaded, BisectCampaignResult)
-    assert loaded.to_json(indent=2) == payload
-    data = json.loads(payload)
-    assert data["schema"] == BISECT_SCHEMA
-    assert "failures" not in data    # omitted when empty
-
-
-def test_from_dict_rejects_wrong_schema(small_bisect):
-    data = small_bisect.to_dict()
-    data["schema"] = "repro-campaign/1"
-    with pytest.raises(ValueError):
-        BisectCampaignResult.from_dict(data)
-
-
-def test_merge_rejects_overlap_and_identity_mismatch(small_bisect):
-    with pytest.raises(ValueError, match="overlap"):
-        small_bisect.merge(small_bisect)
-    other = BisectCampaignResult(family="clang", version="trunk")
-    with pytest.raises(ValueError):
-        small_bisect.merge(other)
-
-
 def test_merge_bisect_results_folds(small_bisect):
     half = len(small_bisect.records) // 2
     cut_seed = small_bisect.records[half].seed
@@ -397,13 +362,13 @@ def test_merge_bisect_results_folds(small_bisect):
         family=small_bisect.family, version=small_bisect.version,
         pool_size=small_bisect.pool_size, stats={},
         records=[r for r in small_bisect.records if r.seed >= cut_seed])
-    merged = merge_bisect_results([right, left])
+    merged = fold_results([right, left])
     assert [r.witness_key() for r in merged.records] == \
         [r.witness_key() for r in small_bisect.records]
     assert merged.stats == small_bisect.stats
-    assert merge_bisect_results([small_bisect]) is small_bisect
+    assert fold_results([small_bisect]) is small_bisect
     with pytest.raises(ValueError):
-        merge_bisect_results([])
+        fold_results([])
 
 
 def test_witness_fingerprint_stable():

@@ -12,28 +12,29 @@ copy per subsystem:
   fold back to the byte-identical full artifact;
 * shards whose levels were evaluated in a different *order* merge
   fine; a different level *set* is an error;
-* merging independently-run shards equals one full run byte for byte.
+* merging independently-run shards equals one full run byte for byte;
+* every artifact round-trips through its class and rejects a foreign
+  schema tag;
+* a merge rejects shards of a different identity (compiler, cell or
+  cell set) and shards whose units overlap.
 """
 
+import dataclasses
 import json
 import random
 
 import pytest
 
-from repro.bisect import (
-    BisectCampaignResult, merge_bisect_results, run_bisect_campaign,
-)
+from repro.bisect import BisectCampaignResult, run_bisect_campaign
 from repro.compilers import Compiler
 from repro.debugger import GdbLike
 from repro.pipeline import (
     CampaignResult, MatrixCampaignResult, ReductionCampaignResult,
-    merge_matrix_results, merge_reduction_results, merge_results,
-    run_campaign, run_matrix_campaign, run_reduction_campaign,
+    fold_results, run_campaign, run_matrix_campaign,
+    run_reduction_campaign,
 )
 from repro.report.model import load_artifact
-from repro.staticcheck import (
-    VerifyCampaignResult, merge_verify_results, run_verify_campaign,
-)
+from repro.staticcheck import VerifyCampaignResult, run_verify_campaign
 
 POOL = 6
 VERIFY_POOL = 4
@@ -60,8 +61,10 @@ def campaign():
 @pytest.fixture(scope="module")
 def cases(campaign):
     """One factory per schema: the full result, a seed-range shard
-    slicer (levels overridable where the schema has levels), the
-    module-level fold, and an independent per-range runner."""
+    slicer (levels overridable where the schema has levels), an
+    independent per-range runner, a shard of another identity with the
+    error a merge with it raises, and the error overlapping shards
+    raise."""
     verify = run_verify_campaign(_gcc(), pool_size=VERIFY_POOL)
     matrix = run_matrix_campaign(compilers=[_gcc()],
                                  debuggers=[GdbLike()],
@@ -111,33 +114,46 @@ def cases(campaign):
     return {
         "campaign": dict(
             full=campaign, seeds=POOL, shard=campaign_shard,
-            fold=merge_results, levels=list(campaign.levels),
+            levels=list(campaign.levels),
             independent=lambda low, high: run_campaign(
                 _gcc(), GdbLike(), pool_size=high - low,
-                seed_base=low)),
+                seed_base=low),
+            other=(dataclasses.replace(campaign, version="8", programs=[]),
+                   "different compilers"),
+            overlap="overlapping seed ranges"),
         "matrix": dict(
             full=matrix, seeds=MATRIX_POOL, shard=matrix_shard,
-            fold=merge_matrix_results,
             levels=list(matrix.cells[MATRIX_KEY].levels),
             independent=lambda low, high: run_matrix_campaign(
                 compilers=[_gcc()], debuggers=[GdbLike()],
-                pool_size=high - low, seed_base=low)),
+                pool_size=high - low, seed_base=low),
+            other=(MatrixCampaignResult(), "different cell sets"),
+            overlap="overlapping seed ranges"),
         "verify": dict(
             full=verify, seeds=VERIFY_POOL, shard=verify_shard,
-            fold=merge_verify_results, levels=list(verify.levels),
+            levels=list(verify.levels),
             independent=lambda low, high: run_verify_campaign(
-                _gcc(), pool_size=high - low, seed_base=low)),
+                _gcc(), pool_size=high - low, seed_base=low),
+            other=(dataclasses.replace(verify, family="clang", programs=[]),
+                   "different compilers"),
+            overlap="overlapping seed ranges"),
         "reduce": dict(
             full=reduce_full, seeds=POOL, shard=reduce_shard,
-            fold=merge_reduction_results,
             independent=lambda low, high: run_reduction_campaign(
                 _campaign_slice(campaign, low, high),
-                debugger=GdbLike())),
+                debugger=GdbLike()),
+            other=(dataclasses.replace(reduce_full, engine="reference",
+                                       records=[]),
+                   "different cells"),
+            overlap="overlapping witnesses"),
         "bisect": dict(
             full=bisect_full, seeds=POOL, shard=bisect_shard,
-            fold=merge_bisect_results,
             independent=lambda low, high: run_bisect_campaign(
-                _campaign_slice(campaign, low, high))),
+                _campaign_slice(campaign, low, high)),
+            other=(dataclasses.replace(bisect_full, family="clang",
+                                       records=[]),
+                   "different cells"),
+            overlap="overlapping witnesses"),
     }
 
 
@@ -162,7 +178,7 @@ def test_random_shard_trees_fold_to_identity(cases, schema):
         rng.shuffle(shards)
         # ... and any split, any fold order, any association
         # renormalizes back to the same bytes.
-        left = case["fold"](shards)
+        left = fold_results(shards)
         right = shards[-1]
         for shard in reversed(shards[:-1]):
             right = shard.merge(right)
@@ -193,5 +209,39 @@ def test_merged_independent_shards_match_single_run(cases, schema):
     half = case["seeds"] // 2
     shards = [case["independent"](0, half),
               case["independent"](half, case["seeds"])]
-    merged = case["fold"](shards)
+    merged = fold_results(shards)
     assert merged.to_json(indent=2) == case["full"].to_json(indent=2)
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+def test_artifact_round_trip(cases, schema):
+    full = cases[schema]["full"]
+    text = full.to_json(indent=2)
+    assert type(full).from_json(text) == full
+    # indentation is cosmetic only
+    assert type(full).from_json(full.to_json()) == full
+    data = json.loads(text)
+    assert data["schema"] == type(full).SCHEMA
+    assert "failures" not in data    # omitted when empty
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+def test_from_dict_rejects_foreign_schema(cases, schema):
+    full = cases[schema]["full"]
+    data = full.to_dict()
+    data["schema"] = "repro-campaign/999"
+    with pytest.raises(ValueError, match="schema"):
+        type(full).from_dict(data)
+    with pytest.raises(ValueError, match="schema"):
+        type(full).from_json("{}")
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+def test_merge_rejects_identity_mismatch_and_overlap(cases, schema):
+    case = cases[schema]
+    other, message = case["other"]
+    with pytest.raises(ValueError, match=message):
+        case["full"].merge(other)
+    # Merging a shard with itself would double-count every unit.
+    with pytest.raises(ValueError, match=case["overlap"]):
+        case["full"].merge(case["full"])

@@ -23,8 +23,8 @@ from repro.debugger import DebuggerSpec, GdbLike, spec_for
 from repro.fuzz import SeedSpec, seed_fingerprint
 from repro.metrics import StudyResult, run_study_seeds
 from repro.pipeline import (
-    CAMPAIGN_SCHEMA, CampaignResult, ProgramResult, merge_results,
-    run_campaign, run_campaign_parallel, run_study_parallel,
+    CampaignResult, fold_results, run_campaign, run_campaign_parallel,
+    run_study_parallel,
 )
 from repro.pipeline.cli import main as campaign_cli
 
@@ -89,17 +89,6 @@ def test_debugger_spec_round_trip():
 # -- the differential harness -------------------------------------------------
 
 
-def test_serial_parallel_bit_identical_gcc(serial_gcc):
-    parallel = run_campaign_parallel(
-        CompilerSpec("gcc", "trunk"), DebuggerSpec("gdb-like"),
-        pool_size=POOL, workers=2, start_method="spawn")
-    assert parallel.table1() == serial_gcc.table1()
-    assert parallel.venn() == serial_gcc.venn()
-    assert parallel.venn(exclude=()) == serial_gcc.venn(exclude=())
-    assert parallel.grid_row() == serial_gcc.grid_row()
-    assert parallel == serial_gcc
-
-
 def test_serial_parallel_bit_identical_clang():
     from repro.debugger import LldbLike
     serial = run_campaign(Compiler("clang", "trunk"), LldbLike(),
@@ -120,8 +109,10 @@ def test_parallel_accepts_live_objects(serial_gcc):
 # -- merge algebra ------------------------------------------------------------
 
 
-# (Random shard trees / fold-order identity now live in
-# tests/test_merge_algebra.py, covering all five artifact schemas.)
+# (Random shard trees, fold-order identity, foreign-schema and overlap
+# rejection live in tests/test_merge_algebra.py, covering all five
+# artifact schemas; the sharded gcc matrix == serial run lives in
+# tests/test_unit_drivers.py.)
 
 
 def test_merge_rejects_mismatched_shards(serial_gcc):
@@ -134,16 +125,7 @@ def test_merge_rejects_mismatched_shards(serial_gcc):
     with pytest.raises(ValueError, match="different level sets"):
         serial_gcc.merge(widened)
     with pytest.raises(ValueError, match="empty sequence"):
-        merge_results([])
-
-
-def test_merge_rejects_overlapping_seed_ranges(serial_gcc):
-    # Merging a shard that repeats a seed would double-count it.
-    duplicate = CampaignResult(
-        family="gcc", version="trunk", levels=list(serial_gcc.levels),
-        pool_size=1, programs=[ProgramResult(seed=serial_gcc.programs[0].seed)])
-    with pytest.raises(ValueError, match="overlapping seed ranges"):
-        serial_gcc.merge(duplicate)
+        fold_results([])
 
 
 # -- seed determinism across processes ---------------------------------------
@@ -168,15 +150,6 @@ def test_campaign_json_round_trip(serial_gcc):
     # indentation is cosmetic only
     assert CampaignResult.from_json(serial_gcc.to_json(indent=2)) == \
         serial_gcc
-
-
-def test_campaign_json_rejects_foreign_schema(serial_gcc):
-    data = serial_gcc.to_dict()
-    data["schema"] = "repro-campaign/999"
-    with pytest.raises(ValueError, match="schema"):
-        CampaignResult.from_dict(data)
-    with pytest.raises(ValueError, match="schema"):
-        CampaignResult.from_json("{}")
 
 
 def test_campaign_artifact_schema_stability():

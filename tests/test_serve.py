@@ -24,7 +24,7 @@ import pytest
 
 from repro.compilers.compiler import CompilerSpec
 from repro.debugger.specs import DebuggerSpec
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import PERSISTENT, FaultPlan, FaultSpec
 from repro.pipeline.campaign import run_campaign
 from repro.serve import (
     AdmissionQueue, CampaignService, ClientError, JobSpec,
@@ -294,6 +294,33 @@ def test_served_artifact_is_byte_identical_to_serial(service):
     served = json.dumps(service.job_artifact(job_id), indent=2,
                         sort_keys=True)
     assert served == serial_artifact_json()
+
+
+def test_served_artifact_under_faults_equals_serial(tmp_path):
+    # A recovered seed's failure record is stored with its result and
+    # served with it; a quarantined seed is served as its record.
+    plan = FaultPlan(seed=5, specs=(
+        FaultSpec(kind="error", stage="compile", seeds=(1,), count=1),
+        FaultSpec(kind="error", stage="generate", seeds=(2,),
+                  count=PERSISTENT)))
+    service = CampaignService(str(tmp_path / "serve.db"), workers=2,
+                              unit_seeds=2, poll=0.01, faults=plan)
+    service.start()
+    try:
+        job_id, _ = service.submit(job_payload())
+        assert wait_for(lambda: service.job_status(job_id)["state"]
+                        == "done")
+        served = service.job_result(job_id)
+    finally:
+        service.drain()
+        service.close()
+    assert {(r.seed, r.status) for r in served.failures} == \
+        {(1, "recovered"), (2, "quarantined")}
+    serial = run_campaign(
+        CompilerSpec(family="gcc", version="trunk").build(),
+        DebuggerSpec(name="gdb-like").build(), pool_size=POOL,
+        faults=plan)
+    assert served.to_json(indent=2) == serial.to_json(indent=2)
 
 
 def test_duplicate_submission_is_a_no_op(service):

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.bugs.defects import Defect
-from repro.compilers import Compiler, CompilerSpec
+from repro.compilers import Compiler
 from repro.compilers.frontend import FrontendSession
 from repro.debuginfo.die import DIE, TAG_VARIABLE
 from repro.debuginfo.linetable import LineEntry
@@ -20,8 +20,8 @@ from repro.report import load_artifact, render
 from repro.report.tables import verify_findings_table, verify_table
 from repro.staticcheck import (
     Finding, StaticCheckError, VerifyCampaignResult, check_availability,
-    check_dies, check_lines, merge_verify_results, run_verify_campaign,
-    run_verify_campaign_parallel, verify_compilation, verify_executable,
+    check_dies, check_lines, run_verify_campaign, verify_compilation,
+    verify_executable,
 )
 from repro.staticcheck.availability import _Replay
 from repro.target.codegen import link
@@ -292,36 +292,9 @@ def test_verify_campaign_records_findings_and_fired():
     assert loaded.to_dict() == result.to_dict()
 
 
-# (Merged-shards-vs-single-run identity now lives in
-# tests/test_merge_algebra.py, covering all five artifact schemas.)
-
-
-def test_verify_campaign_merge_rejects_bad_shards():
-    gcc = run_verify_campaign(clean_compiler("gcc"), pool_size=1)
-    clang = run_verify_campaign(clean_compiler("clang"), pool_size=1)
-    with pytest.raises(ValueError):
-        gcc.merge(clang)
-    with pytest.raises(ValueError):
-        gcc.merge(run_verify_campaign(clean_compiler("gcc"),
-                                      pool_size=1))
-
-
-def test_parallel_verify_campaign_is_bit_identical():
-    spec = CompilerSpec("gcc", "trunk")
-    serial = run_verify_campaign(spec.build(), pool_size=4)
-    in_process = run_verify_campaign_parallel(spec, pool_size=4,
-                                              workers=1)
-    assert in_process.to_dict() == serial.to_dict()
-
-
-def test_parallel_verify_campaign_spawn():
-    spec = CompilerSpec("gcc", "trunk")
-    serial = run_verify_campaign(spec.build(), pool_size=4,
-                                 levels=("Og", "O2"))
-    spawned = run_verify_campaign_parallel(spec, pool_size=4,
-                                           levels=("Og", "O2"),
-                                           workers=2)
-    assert spawned.to_dict() == serial.to_dict()
+# (Merged-shards-vs-single-run identity and merge rejection live in
+# tests/test_merge_algebra.py, covering all five artifact schemas;
+# sharded == serial lives in tests/test_unit_drivers.py.)
 
 
 # -- report integration --------------------------------------------------------

@@ -8,11 +8,10 @@ Pins the contracts the store subsystem is built on:
   byte-identical to an uninterrupted storeless run, while recompiling
   only the unevaluated ``(seed, cell)`` pairs (zero recompiles when
   everything is stored — counted by monkeypatching the backend).
-* **Merge algebra** — the four campaign-result merges are associative
-  and order-independent over arbitrary shard splits, tolerate
-  shuffled level *orders* (only a different level *set* is an error),
-  reject overlaps, and every ``merge_*_results`` folder treats empty
-  and single-shard inputs the same way.
+* **Merge algebra** — the reduction merge sums stats and merges
+  same-seed witness shards, and the one folder (``fold_results``)
+  treats empty and single-shard inputs of every result type the same
+  way (the rest lives in ``tests/test_merge_algebra.py``).
 * **Serialization hygiene** — truncated artifacts fail with a uniform
   "malformed <schema> artifact: missing field ..." error instead of a
   bare ``KeyError``, and ``repro-db ingest`` followed by ``export``
@@ -31,16 +30,16 @@ import pytest
 
 from repro.compilers import Compiler
 from repro.debugger import GdbLike, LldbLike
+from repro.bisect import BisectCampaignResult, run_bisect_campaign
 from repro.pipeline import (
     CampaignResult, MatrixCampaignResult, ReductionCampaignResult,
-    merge_matrix_results, merge_reduction_results,
-    merge_results, run_campaign, run_campaign_parallel,
+    fold_results, run_campaign, run_campaign_parallel,
     run_matrix_campaign, run_reduction_campaign,
 )
 from repro.report import is_store_file, load_artifact_file
 from repro.report.cli import main as report_cli
 from repro.staticcheck import (
-    VerifyCampaignResult, merge_verify_results, run_verify_campaign,
+    VerifyCampaignResult, run_verify_campaign,
     run_verify_campaign_parallel,
 )
 from repro.store import (
@@ -69,6 +68,11 @@ def serial_verify():
 @pytest.fixture(scope="module")
 def serial_reduce(serial_gcc):
     return run_reduction_campaign(serial_gcc, debugger=GdbLike())
+
+
+@pytest.fixture(scope="module")
+def serial_bisect(serial_gcc):
+    return run_bisect_campaign(serial_gcc, limit=1)
 
 
 @pytest.fixture
@@ -406,20 +410,19 @@ def test_reduction_merge_identity_and_overlap(serial_reduce):
 
 def test_folders_agree_on_empty_and_single_shard(serial_gcc,
                                                  serial_verify,
-                                                 serial_reduce):
+                                                 serial_reduce,
+                                                 serial_bisect):
+    with pytest.raises(ValueError, match="empty sequence"):
+        fold_results([])
+    with pytest.raises(ValueError, match="empty sequence"):
+        fold_results(iter(()))
     matrix = MatrixCampaignResult(pool_size=0)
-    for folder, shard in ((merge_results, serial_gcc),
-                          (merge_matrix_results, matrix),
-                          (merge_verify_results, serial_verify),
-                          (merge_reduction_results, serial_reduce)):
-        with pytest.raises(ValueError, match="empty sequence"):
-            folder([])
-        with pytest.raises(ValueError, match="empty sequence"):
-            folder(iter(()))
+    for shard in (serial_gcc, matrix, serial_verify, serial_reduce,
+                  serial_bisect):
         # A single shard round-trips unchanged — the same object, not
         # a copy that might renormalize field order.
-        assert folder([shard]) is shard
-        assert folder(iter([shard])) is shard
+        assert fold_results([shard]) is shard
+        assert fold_results(iter([shard])) is shard
 
 
 # -- malformed artifacts ------------------------------------------------------
@@ -487,6 +490,18 @@ def test_malformed_reduce_artifact(serial_reduce, path, field):
             rf"malformed repro-reduce/1 artifact: "
             rf"missing field '{field}'")):
         ReductionCampaignResult.from_dict(data)
+
+
+@pytest.mark.parametrize("path,field", [
+    ((), "stats"),
+    (("records", 0), "supported"),
+])
+def test_malformed_bisect_artifact(serial_bisect, path, field):
+    data = _truncated(serial_bisect.to_json(), *path, field)
+    with pytest.raises(ValueError, match=(
+            rf"malformed repro-bisect/1 artifact: "
+            rf"missing field '{field}'")):
+        BisectCampaignResult.from_dict(data)
 
 
 # -- ingest / export round-trips ----------------------------------------------

@@ -9,13 +9,18 @@ and compares ``to_json()``:
 
 * ``sharded`` — the ``*_parallel`` driver over two spawned worker
   processes (reduction has no sharded driver);
+* ``inprocess`` — the same driver with ``workers=1``: every shard runs
+  in the calling process;
 * ``resumed`` — half of the units written through a store, then the
   whole run resumed from it (sharded where the driver shards); the
   store's export reproduces the same bytes too;
 * ``chaos`` — a recovering fault plan (transient errors and a soft
   worker crash): the run under the plan equals the storeless serial
   run under the same plan, its failure records are all ``recovered``,
-  and without them the artifact equals the clean run's.
+  and without them the artifact equals the clean run's;
+* ``quarantined`` — a persistent error on one seed: the store-backed
+  run equals the storeless serial run under the same plan, and so does
+  the store's export (``pool_size`` counts the quarantined seed).
 
 Pools are tiny so the whole suite stays fast.  The bisection case of
 ``resumed`` also pins the export order of a store a sharded run filled
@@ -29,7 +34,7 @@ import pytest
 from repro.bisect import run_bisect_campaign, run_bisect_campaign_parallel
 from repro.compilers import Compiler, CompilerSpec
 from repro.debugger import GdbLike
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import PERSISTENT, FaultPlan, FaultSpec
 from repro.pipeline import (
     run_campaign, run_matrix_campaign, run_matrix_campaign_parallel,
     run_reduction_campaign,
@@ -51,6 +56,14 @@ RECOVERING = FaultPlan(seed=11, specs=(
     FaultSpec(kind="crash", seeds=(2,), count=1),
 ))
 
+#: A generate error on seed 2 that never recovers: the seed (and its
+#: one witness) is quarantined.
+QUARANTINING = FaultPlan(seed=11, specs=(
+    FaultSpec(kind="error", stage="generate", seeds=(2,),
+              count=PERSISTENT),
+))
+PLANS = {"chaos": RECOVERING, "quarantined": QUARANTINING}
+
 
 @pytest.fixture(scope="module")
 def witnesses():
@@ -71,7 +84,7 @@ class Matrix:
         return run_matrix_campaign_parallel(
             compilers=[CompilerSpec("gcc", "trunk")],
             debuggers=["gdb-like", "lldb-like"], pool_size=POOL,
-            levels=LEVELS, **SHARDED, **options)
+            levels=LEVELS, **{**SHARDED, **options})
 
     def export(self, store):
         return store.export_matrix()
@@ -86,7 +99,7 @@ class Verify:
     def sharded(self, **options):
         return run_verify_campaign_parallel(
             CompilerSpec("gcc", "trunk"), pool_size=POOL,
-            levels=("O0", "O2"), **SHARDED, **options)
+            levels=("O0", "O2"), **{**SHARDED, **options})
 
     def export(self, store):
         (run,) = store.runs()
@@ -102,8 +115,8 @@ class Bisect:
                                    **options)
 
     def sharded(self, **options):
-        return run_bisect_campaign_parallel(self.campaign, **SHARDED,
-                                            **options)
+        return run_bisect_campaign_parallel(self.campaign,
+                                            **{**SHARDED, **options})
 
     def export(self, store):
         (run,) = store.runs()
@@ -129,8 +142,9 @@ class Reduction:
 DRIVERS = {"matrix": Matrix, "verify": Verify, "bisect": Bisect,
            "reduction": Reduction}
 CASES = [(name, mode) for name in DRIVERS
-         for mode in ("sharded", "resumed", "chaos")
-         if not (name == "reduction" and mode == "sharded")]
+         for mode in ("sharded", "inprocess", "resumed", "chaos",
+                      "quarantined")
+         if not (name == "reduction" and mode in ("sharded", "inprocess"))]
 
 
 @pytest.fixture(scope="module")
@@ -139,10 +153,10 @@ def serial_runs():
     return {}
 
 
-def _serial(serial_runs, name, driver, faults=None):
-    key = (name, faults is not None)
+def _serial(serial_runs, name, driver, plan=None):
+    key = (name, plan)
     if key not in serial_runs:
-        serial_runs[key] = driver.serial(faults=faults).to_json()
+        serial_runs[key] = driver.serial(faults=PLANS.get(plan)).to_json()
     return serial_runs[key]
 
 
@@ -164,6 +178,8 @@ def test_every_run_mode_matches_the_storeless_serial_run(
     path = str(tmp_path / "store.sqlite")
     if mode == "sharded":
         assert driver.sharded().to_json() == reference
+    elif mode == "inprocess":
+        assert driver.sharded(workers=1).to_json() == reference
     elif mode == "resumed":
         with CampaignStore(path) as store:
             driver.serial(half=True, store=store)
@@ -176,15 +192,24 @@ def test_every_run_mode_matches_the_storeless_serial_run(
         assert resumed.to_json() == reference
         with CampaignStore(path) as store:
             assert driver.export(store).to_json() == reference
-    else:
+    elif mode == "chaos":
         if driver.sharded is not None:
             chaos = driver.sharded(faults=RECOVERING)
         else:
             with CampaignStore(path) as store:
                 chaos = driver.serial(store=store, faults=RECOVERING)
         assert chaos.to_json() == _serial(serial_runs, name, driver,
-                                          RECOVERING)
+                                          "chaos")
         assert chaos.failures
         assert {record.status for record in chaos.failures} == \
             {"recovered"}
         assert _strip_failures(chaos.to_json()) == reference
+    else:
+        expected = _serial(serial_runs, name, driver, "quarantined")
+        with CampaignStore(path) as store:
+            stored = driver.serial(store=store, faults=QUARANTINING)
+        assert {(record.seed, record.status)
+                for record in stored.failures} == {(2, "quarantined")}
+        assert stored.to_json() == expected
+        with CampaignStore(path) as store:
+            assert driver.export(store).to_json() == expected

@@ -10,7 +10,13 @@ trace runs and lowerings, and compares them with
   fast engine and culprit triage, then bisected (the perfbench
   ``triage`` unit);
 * ``find`` — one generator seed through the gcc + clang trunk matrix
-  with both debuggers (the perfbench ``find`` unit).
+  with both debuggers (the perfbench ``find`` unit);
+* ``resume`` — a gcc-trunk verify campaign over two seeds written to an
+  in-memory store, resumed over three, then loaded back with
+  ``load_run``: backend compiles, the store round trips
+  (``put_result``/``get_result`` calls) and the store's own ``hits``,
+  ``misses`` and ``dedups`` (blob reuses).  Lowerings are left out:
+  the program generator's cache makes them depend on what ran before.
 
 A change that adds work fails here.  A change that removes work
 regenerates the golden and states the drop::
@@ -37,6 +43,8 @@ from repro.pipeline import run_campaign
 from repro.pipeline.campaign import CampaignResult, ProgramResult
 from repro.pipeline.matrix import run_matrix_campaign
 from repro.pipeline.reduction import iter_witnesses, run_reduction_campaign
+from repro.staticcheck.campaign import run_verify_campaign
+from repro.store import CampaignStore
 from repro.target.codegen import link
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden",
@@ -100,6 +108,9 @@ def counting():
                     rebind(module, attr, wrapper)
     rebind(Compiler, "compile_ir",
            counted("compile_ir", Compiler.__dict__["compile_ir"]))
+    for name in ("put_result", "get_result"):
+        rebind(CampaignStore, name,
+               counted(name, CampaignStore.__dict__[name]))
     # A pass whose run() calls an inherited run() is one pass run.
     depth = [0]
     for cls in _pass_classes():
@@ -130,7 +141,8 @@ def _witness_campaigns():
 
 
 def work_counts():
-    """``{"triage": counts, "find": counts}`` for the fixed inputs."""
+    """``{"triage": counts, "find": counts, "resume": counts}`` for the
+    fixed inputs."""
     singles = list(_witness_campaigns())
     with counting() as triage:
         for single in singles:
@@ -141,8 +153,19 @@ def work_counts():
     with counting() as find:
         run_matrix_campaign(compilers=compilers, pool_size=1,
                             seed_base=FIND_SEED)
+    with counting() as resume, CampaignStore(":memory:") as store:
+        for pool_size in (2, 3):
+            run_verify_campaign(compilers[0], pool_size=pool_size,
+                                store=store)
+        (run,) = store.runs()
+        store.load_run(run.id)
+        resume.update(hits=store.stats.hits, misses=store.stats.misses,
+                      dedups=store.stats.blob_reuses)
     return {"triage": dict(sorted(triage.items())),
-            "find": dict(sorted(find.items()))}
+            "find": dict(sorted(find.items())),
+            "resume": {name: resume[name] for name in sorted(
+                ("compile_ir", "put_result", "get_result", "hits",
+                 "misses", "dedups"))}}
 
 
 def test_work_counts_match_golden():
